@@ -160,12 +160,17 @@ class MassiveCorrectionParams:
 
 
 def s2_massive_correction(m2: float, N: int, M: int) -> float:
-    """Exponentially small remainder neglected by the massive asymptotic:
+    """Leading approximation of the exponentially small remainder neglected
+    by the massive asymptotic:
 
         sum_{k>=1} ln(1 - c0^(-2N) exp(-2 c1 N k^2 / (c0 M^2))),
 
     truncated when the term magnitude drops below 1e-18.  Reported as an
-    opt-in diagnostic addend; its magnitude is bounded by ~ c0^(-2N).
+    opt-in diagnostic addend.  It estimates the order of the remainder
+    and bounds neither it nor its error: at m^2 = 1, N = M = 16 it gives
+    -2.92e-14, while the true remainder (sinh product minus the asymptotic
+    formula, both in 50-digit arithmetic) is -6.05e-14; for N = M from 8
+    to 32 the true remainder is 0.76 to 2.41 times c0^(-2N) in magnitude.
 
     The exponent carries 2 c1 / c0: c1 is the curvature of the mode growth
     factor (xi_k = c0 + c1 k^2 / M^2 + ..., checked numerically against

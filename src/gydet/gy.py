@@ -103,62 +103,33 @@ def scalar_logdet(V: Sequence[float], *, eps_pivot: float = EPS_PIVOT) -> LogDet
         raise ValueError("V must be a non-empty one-dimensional sequence")
     if not np.isfinite(V).all():
         raise ValueError("V contains non-finite values")
-    n_sites = V.shape[0]
-    # constant potentials dominate in practice; hoist the lookup
-    if n_sites > 1 and V.max() == V.min():
-        it = None
-        t = 2.0 + V[0]
-    else:
-        it = iter(V[1:].tolist())
-        t = 2.0 + V[0]
-
-    u = t  # y_2
+    vals = V.tolist()  # Python floats: numpy scalars are far slower per step
+    n_sites = len(vals)
+    u = 2.0 + vals[0]  # y_2
     v = 1.0  # y_1
     acc = 0.0
     rescales = 0
     min_pivot = abs(u)  # first pivot a_1 + 1 = V_1 + 2 over y_1 = 1
     if min_pivot < eps_pivot:
         raise SingularCrossing(1, min_pivot)
-    if it is None:
-        for k in range(2, n_sites + 1):
-            u, v = t * u - v, u
-            au = abs(u)
-            piv = au / abs(v)
-            if piv < min_pivot:
-                if piv < eps_pivot:
-                    raise SingularCrossing(k, piv)
-                min_pivot = piv
-            if au > _SCALE_HI:
-                u *= _SCALE_LO
-                v *= _SCALE_LO
-                acc += _LOG_SCALE
-                rescales += 1
-            elif au < _SCALE_LO and au > 0.0:
-                u *= _SCALE_HI
-                v *= _SCALE_HI
-                acc -= _LOG_SCALE
-                rescales += 1
-    else:
-        k = 1
-        for vk in it:
-            k += 1
-            u, v = (2.0 + vk) * u - v, u
-            au = abs(u)
-            piv = au / abs(v)
-            if piv < min_pivot:
-                if piv < eps_pivot:
-                    raise SingularCrossing(k, piv)
-                min_pivot = piv
-            if au > _SCALE_HI:
-                u *= _SCALE_LO
-                v *= _SCALE_LO
-                acc += _LOG_SCALE
-                rescales += 1
-            elif au < _SCALE_LO and au > 0.0:
-                u *= _SCALE_HI
-                v *= _SCALE_HI
-                acc -= _LOG_SCALE
-                rescales += 1
+    for k, vk in enumerate(vals[1:], start=2):
+        u, v = (2.0 + vk) * u - v, u
+        au = abs(u)
+        piv = au / abs(v)
+        if piv < min_pivot:
+            if piv < eps_pivot:
+                raise SingularCrossing(k, piv)
+            min_pivot = piv
+        if au > _SCALE_HI:
+            u *= _SCALE_LO
+            v *= _SCALE_LO
+            acc += _LOG_SCALE
+            rescales += 1
+        elif au < _SCALE_LO and au > 0.0:
+            u *= _SCALE_HI
+            v *= _SCALE_HI
+            acc -= _LOG_SCALE
+            rescales += 1
     if not math.isfinite(u):
         raise NonFiniteRecursion(n_sites)
     if u == 0.0:
@@ -172,14 +143,15 @@ def scalar_logdet(V: Sequence[float], *, eps_pivot: float = EPS_PIVOT) -> LogDet
     )
 
 
-def _slice_matrices(spec: LatticeSpec, pot: PotentialField) -> np.ndarray:
-    """Stack of the N-1 diagonal blocks T_i = 2I - Delta_{d-1} + V_i."""
+def _slices(spec: LatticeSpec, pot: PotentialField) -> Iterator[np.ndarray]:
+    """Yield the N-1 diagonal blocks T_n = 2I - Delta_{d-1} + V_n one at a
+    time, each a fresh C-ordered array the caller may overwrite."""
     K = spec.K
-    Tb = 2.0 * np.eye(K) + transverse_laplacian(spec)
-    Ts = np.broadcast_to(Tb, (spec.N - 1, K, K)).copy()
-    idx = np.arange(K)
-    Ts[:, idx, idx] += pot.values
-    return Ts
+    base = 2.0 * np.eye(K) + transverse_laplacian(spec)
+    for v in pot.values:
+        T = base.copy()
+        T.ravel()[:: K + 1] += v  # the diagonal, through a view
+        yield T
 
 
 def matrix_logdet_aform(
@@ -190,7 +162,9 @@ def matrix_logdet_aform(
     Each step factors B_n = A_n + I with symmetric (Bunch-Kaufman)
     pivoting; the pivot-block determinants accumulate into the answer and
     the same factorization supplies B_n^{-1} for the next step, so the
-    whole sweep costs O(N K^3).  Pivot data is buffered and decoded in
+    whole sweep costs O(N K^3) time.  Slices are built as the sweep reaches
+    them, so it keeps O(K^2) working memory besides the pivot buffers of
+    at most 4096 slices.  Pivot data is buffered and decoded in
     vectorized chunks; exact LAPACK singularity reports surface
     immediately, anything below eps_pivot surfaces at the chunk boundary
     naming the offending slice.
@@ -199,7 +173,6 @@ def matrix_logdet_aform(
         raise ValueError("potential was built for a different lattice")
     K = spec.K
     n_steps = spec.N - 1
-    Ts = _slice_matrices(spec, pot)
     lwork = dsytrf_lwork(K)[0]
     eye = np.eye(K, order="F")
 
@@ -208,7 +181,7 @@ def matrix_logdet_aform(
     chunk = 4096
     rows = min(chunk, n_steps)
     d_buf = np.empty((rows, K))
-    o_buf = np.empty((rows, K - 1 if K > 1 else 0))
+    o_buf = np.empty((rows, K - 1))
     i_buf = np.empty((rows, K), dtype=np.int64)
 
     acc_log = 0.0
@@ -235,33 +208,27 @@ def matrix_logdet_aform(
         min_pivot = min(min_pivot, piv)
         first_slice_in_buf += upto
 
-    B = np.asfortranarray(Ts[0])
-    trf, trs, sub = dsytrf, dsytrs, np.subtract
-    wide = K > 1
-    for n in range(n_steps - 1):
+    trf, trs = dsytrf, dsytrs
+    inv = 0.0  # B_{n-1}^{-1}; there is none before the first slice
+    for n, T in enumerate(_slices(spec, pot), start=1):
+        # T is symmetric, so T.T is the same matrix in Fortran order, which
+        # dsytrf factors in place
+        B = T.T
+        B -= inv
         ldu, ipiv, info = trf(B, lower=1, lwork=lwork, overwrite_a=1)
         if info > 0:
-            raise SingularCrossing(n + 1, 0.0)
+            raise SingularCrossing(n, 0.0)
         d_buf[filled] = ldu.diagonal()
-        if wide:
-            o_buf[filled] = ldu.diagonal(-1)
+        o_buf[filled] = ldu.diagonal(-1)
         i_buf[filled] = ipiv
         filled += 1
-        if filled == chunk:
+        if filled == chunk or n == n_steps:
             flush(filled)
             filled = 0
-        X, info2 = trs(ldu, ipiv, eye, lower=1)
-        if info2 != 0:
-            raise SingularCrossing(n + 1, 0.0)
-        B = sub(Ts[n + 1], X, order="F")
-    ldu, ipiv, info = trf(B, lower=1, lwork=lwork, overwrite_a=1)
-    if info > 0:
-        raise SingularCrossing(n_steps, 0.0)
-    d_buf[filled] = ldu.diagonal()
-    if wide:
-        o_buf[filled] = ldu.diagonal(-1)
-    i_buf[filled] = ipiv
-    flush(filled + 1)
+        if n < n_steps:
+            inv, info = trs(ldu, ipiv, eye, lower=1)
+            if info != 0:
+                raise SingularCrossing(n, 0.0)
     if not math.isfinite(acc_log):
         raise NonFiniteRecursion(n_steps)
     return LogDet(
@@ -283,13 +250,12 @@ def matrix_gy_states(
     """
     if pot.spec != spec:
         raise ValueError("potential was built for a different lattice")
-    K = spec.K
-    Ts = _slice_matrices(spec, pot)
-    eye = np.eye(K)
+    eye = np.eye(spec.K)
     acc_log = 0.0
     acc_sign = 1
-    B = Ts[0].copy()
-    for n in range(1, spec.N):
+    inv = 0.0  # B_{n-1}^{-1}; there is none before the first slice
+    for n, B in enumerate(_slices(spec, pot), start=1):
+        B -= inv
         fac = SymmetricFactor(B)
         if fac.exact_singular or fac.min_pivot < eps_pivot:
             raise SingularCrossing(n, fac.min_pivot)
@@ -299,7 +265,7 @@ def matrix_gy_states(
             raise NonFiniteRecursion(n)
         yield GYState(n=n, A=B - eye, acc_log=acc_log, acc_sign=acc_sign)
         if n < spec.N - 1:
-            B = Ts[n] - fac.solve(eye)
+            inv = fac.solve(eye)
 
 
 def matrix_y_states(
@@ -313,14 +279,13 @@ def matrix_y_states(
     if pot.spec != spec:
         raise ValueError("potential was built for a different lattice")
     K = spec.K
-    Ts = _slice_matrices(spec, pot)
     Y_prev = np.zeros((K, K))
     Y = np.eye(K)
     log_scale = 0.0
     yield 0, Y_prev, 0.0
     yield 1, Y, 0.0
-    for n in range(1, spec.N):
-        Y, Y_prev = Ts[n - 1] @ Y - Y_prev, Y
+    for n, T in enumerate(_slices(spec, pot), start=1):
+        Y, Y_prev = T @ Y - Y_prev, Y
         peak = np.abs(Y).max()
         if not math.isfinite(peak):
             raise NonFiniteRecursion(n + 1)

@@ -31,12 +31,6 @@ class Diagnostics:
     min_pivot: float = math.inf
     rescale_count: int = 0
 
-    def merged(self, other: "Diagnostics") -> "Diagnostics":
-        return Diagnostics(
-            min_pivot=min(self.min_pivot, other.min_pivot),
-            rescale_count=self.rescale_count + other.rescale_count,
-        )
-
 
 @dataclass(frozen=True)
 class LogDet:

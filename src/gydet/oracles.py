@@ -25,18 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .logdet import Diagnostics, LogDet, dense_logdet  # noqa: F401  (dense route re-exported)
+from .logdet import Diagnostics, LogDet
 from .lattice import transverse_eigenvalues
-
-# Test hook: relative corruption applied to every gamma_k.  Exists so the
-# verification command can demonstrate that a wrong dispersion relation is
-# caught by the cross-method checks; never set outside fault-injection runs.
-_GAMMA_FAULT = 0.0
-
-
-def set_gamma_fault(eps: float) -> None:
-    global _GAMMA_FAULT
-    _GAMMA_FAULT = float(eps)
 
 
 @dataclass(frozen=True)
@@ -53,19 +43,21 @@ def _acosh1p(t: float) -> float:
     return math.log1p(t + math.sqrt(t * (t + 2.0)))
 
 
-def gamma_k(m2: float, lam: float) -> GammaValue:
+def gamma_k(m2: float, lam: float, *, gamma_fault: float = 0.0) -> GammaValue:
     """Mode decay rate from the characteristic condition
     e^gamma + e^-gamma = m2 + 2 - lam.
 
     Requires m2 >= lam (always true here: lam < 0 <= m2); gamma = 0 only
-    when m2 = lam = 0.
+    when m2 = lam = 0.  gamma_fault is a relative corruption of the result
+    for fault-injection runs, which show that the cross-method checks catch
+    a wrong dispersion relation; it is 0 everywhere else.
     """
     t = (m2 - lam) / 2.0
     if t < 0.0:
         raise ValueError(f"arccosh argument below 1: m2={m2}, lambda={lam}")
     gamma = _acosh1p(t)
-    if _GAMMA_FAULT:
-        gamma *= 1.0 + _GAMMA_FAULT
+    if gamma_fault:
+        gamma *= 1.0 + gamma_fault
     return GammaValue(m2=float(m2), lam=float(lam), gamma=gamma)
 
 
@@ -76,14 +68,16 @@ def log_sinh(x: float) -> float:
     return x + math.log(-math.expm1(-2.0 * x)) - math.log(2.0)
 
 
-def sinh_product_logdet(m2: float, N: int, M: int) -> LogDet:
+def sinh_product_logdet(
+    m2: float, N: int, M: int, *, gamma_fault: float = 0.0
+) -> LogDet:
     """ln det(-Delta_2 + m^2) as the transverse-mode product of sinh ratios.
 
     Every gamma_k is strictly positive for k >= 1 (lambda_k < 0), so no
     singular term arises even at m = 0; the sign is always +.  The M-1
     positive terms are summed exactly (math.fsum) and rounded once, so the
     error of the total is bounded by the errors of the terms and does not
-    grow with the number of additions.
+    grow with the number of additions.  gamma_fault is passed to gamma_k.
     """
     if m2 < 0:
         raise ValueError(f"m2 must be >= 0, got {m2}")
@@ -91,7 +85,7 @@ def sinh_product_logdet(m2: float, N: int, M: int) -> LogDet:
         raise ValueError("N and M must be >= 2")
     terms = []
     for lam in transverse_eigenvalues(M):
-        g = gamma_k(m2, lam).gamma
+        g = gamma_k(m2, lam, gamma_fault=gamma_fault).gamma
         terms.append(log_sinh(g * N) - log_sinh(g))
     return LogDet(
         log_abs=math.fsum(terms),

@@ -3,8 +3,8 @@
 Every check pits at least two independent routes against each other at a
 fixed tolerance and returns None on success or a short failure message.
 The CLI's verify command runs the lot and exits nonzero naming the first
-offenders; the test suite reuses the same checks so the command and CI
-cannot drift apart.
+offenders; the test suite runs every check at full size, so the command
+and the tests cannot drift apart.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ def check_scalar_fibonacci(quick: bool) -> Optional[str]:
     return None
 
 
-def check_four_way_agreement(quick: bool) -> Optional[str]:
+def check_four_way_agreement(quick: bool, gamma_fault: float = 0.0) -> Optional[str]:
     """gy-a, gy-y, dense, eigenproduct and sinh-product agree pairwise to
     1e-10 on constant-mass 2D lattices."""
     top = 6 if quick else 12
@@ -62,7 +62,9 @@ def check_four_way_agreement(quick: bool) -> Optional[str]:
                     "gy-y": gy.matrix_logdet_yform(spec, pot),
                     "dense": dense_logdet(lattice.build_interior_hamiltonian(spec, pot)),
                     "eigenproduct": oracles.eigenproduct_logdet_2d(m2, N, M),
-                    "sinh-product": oracles.sinh_product_logdet(m2, N, M),
+                    "sinh-product": oracles.sinh_product_logdet(
+                        m2, N, M, gamma_fault=gamma_fault
+                    ),
                 }
                 ref = vals["dense"]
                 for name, ld in vals.items():
@@ -106,7 +108,9 @@ def check_random_potential_agreement(quick: bool) -> Optional[str]:
     return None
 
 
-def check_sinh_product_vs_eigenproduct(quick: bool) -> Optional[str]:
+def check_sinh_product_vs_eigenproduct(
+    quick: bool, gamma_fault: float = 0.0
+) -> Optional[str]:
     """The two closed forms agree to 1e-10, including with arguments
     swapped (the spectrum is exchange-symmetric; the sinh product sums
     over transverse modes only, so this is a nontrivial identity)."""
@@ -114,7 +118,9 @@ def check_sinh_product_vs_eigenproduct(quick: bool) -> Optional[str]:
     for m2 in (0.0, 0.5, 1.0, 4.0):
         for N in range(2, top + 1):
             for M in range(2, top + 1):
-                sp = oracles.sinh_product_logdet(m2, N, M).log_abs
+                sp = oracles.sinh_product_logdet(
+                    m2, N, M, gamma_fault=gamma_fault
+                ).log_abs
                 ep = oracles.eigenproduct_logdet_2d(m2, N, M).log_abs
                 if not _close(sp, ep, 1e-10):
                     return f"m2={m2} N={N} M={M}: sinh {sp!r} vs eig {ep!r}"
@@ -124,14 +130,14 @@ def check_sinh_product_vs_eigenproduct(quick: bool) -> Optional[str]:
     return None
 
 
-def check_sinh_anchors(quick: bool) -> Optional[str]:
+def check_sinh_anchors(quick: bool, gamma_fault: float = 0.0) -> Optional[str]:
     """Desk anchors: ln 4, ln 192, ln 5 to 1e-12."""
     for (m2, N, M, want) in (
         (0.0, 2, 2, math.log(4.0)),
         (0.0, 3, 3, math.log(192.0)),
         (1.0, 2, 2, math.log(5.0)),
     ):
-        got = oracles.sinh_product_logdet(m2, N, M).log_abs
+        got = oracles.sinh_product_logdet(m2, N, M, gamma_fault=gamma_fault).log_abs
         if abs(got - want) > 1e-12:
             return f"m2={m2} N={N} M={M}: {got!r} vs {want!r}"
     return None
@@ -233,13 +239,31 @@ CHECKS: list[tuple[str, Callable[[bool], Optional[str]]]] = [
 ]
 
 
-def run_suite(quick: bool = False, out=None) -> list[tuple[str, Optional[str]]]:
+# The checks that evaluate the sinh product, which take a gamma_fault.
+_SINH_CHECKS = (
+    check_four_way_agreement,
+    check_sinh_product_vs_eigenproduct,
+    check_sinh_anchors,
+)
+
+
+def run_suite(
+    quick: bool = False, out=None, gamma_fault: float = 0.0
+) -> list[tuple[str, Optional[str]]]:
     """Run every check; print one pass/fail line each to out (default
-    stderr-like quiet: no printing when out is None); return the results."""
+    stderr-like quiet: no printing when out is None); return the results.
+
+    gamma_fault, a relative corruption of every sinh-product gamma_k, goes
+    to the checks that evaluate the sinh product; a nonzero value must make
+    them fail.
+    """
     results = []
     for name, fn in CHECKS:
         try:
-            failure = fn(quick)
+            if fn in _SINH_CHECKS:
+                failure = fn(quick, gamma_fault=gamma_fault)
+            else:
+                failure = fn(quick)
         except Exception as exc:  # surfaced as a failure, not a crash
             failure = f"raised {type(exc).__name__}: {exc}"
         results.append((name, failure))

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from gydet import verify
 from gydet.cli import json_17g, main
 
 
@@ -214,6 +215,11 @@ class TestThreads:
 
 
 class TestVerify:
+    @pytest.mark.parametrize("check", [fn for _, fn in verify.CHECKS],
+                             ids=[name for name, _ in verify.CHECKS])
+    def test_every_check_passes_at_full_size(self, check):
+        assert check(False) is None
+
     def test_quick_passes(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--quick")
         assert code == 0
