@@ -145,13 +145,16 @@ def scalar_logdet(V: Sequence[float], *, eps_pivot: float = EPS_PIVOT) -> LogDet
 
 def _slices(spec: LatticeSpec, pot: PotentialField) -> Iterator[np.ndarray]:
     """Yield the N-1 diagonal blocks T_n = 2I - Delta_{d-1} + V_n one at a
-    time, each a fresh C-ordered array the caller may overwrite."""
-    K = spec.K
-    base = 2.0 * np.eye(K) + transverse_laplacian(spec)
+    time.  Every block is the same read-only C-ordered array, whose
+    diagonal is rewritten when the next one is asked for."""
+    T = 2.0 * np.eye(spec.K) + transverse_laplacian(spec)
+    free_diag = T.diagonal().copy()  # the diagonal of 2I - Delta_{d-1}
+    T_diag = T.ravel()[:: spec.K + 1]  # the same diagonal, through a view
+    view = T.view()
+    view.setflags(write=False)
     for v in pot.values:
-        T = base.copy()
-        T.ravel()[:: K + 1] += v  # the diagonal, through a view
-        yield T
+        np.add(free_diag, v, out=T_diag)
+        yield view
 
 
 def matrix_logdet_aform(
@@ -176,13 +179,21 @@ def matrix_logdet_aform(
     lwork = dsytrf_lwork(K)[0]
     eye = np.eye(K, order="F")
 
-    # the hot loop stores only the pivot band and pivot vector per step;
-    # everything is decoded in vectorized chunks afterwards
+    # B_n is built in one zero-padded buffer that dsytrf factors in place
+    # (it is Fortran-contiguous, so the returned factor is B itself); the
+    # diagonal and first subdiagonal of each factor -- the pivot blocks --
+    # are then one fixed strided (2, K) view, whose last subdiagonal entry
+    # is the padding and stays 0.  The hot loop stores only that band and
+    # the pivot vector per step; everything is decoded in vectorized
+    # chunks afterwards.
+    store = np.zeros(K * K + 1)
+    B = store[: K * K].reshape((K, K), order="F")
+    item = store.itemsize
+    band = np.ndarray((2, K), buffer=store, strides=(item, (K + 1) * item))
     chunk = 4096
     rows = min(chunk, n_steps)
-    d_buf = np.empty((rows, K))
-    o_buf = np.empty((rows, K - 1))
-    i_buf = np.empty((rows, K), dtype=np.int64)
+    band_buf = np.empty((2, rows, K))  # rows of diagonals, rows of subdiagonals
+    i_buf = np.empty((rows, K), dtype=np.intc)
 
     acc_log = 0.0
     n_negative = 0
@@ -193,12 +204,12 @@ def matrix_logdet_aform(
     def flush(upto: int):
         nonlocal acc_log, n_negative, min_pivot, first_slice_in_buf
         log_abs, nneg, piv = decode_bunch_kaufman(
-            d_buf[:upto], o_buf[:upto], i_buf[:upto]
+            band_buf[0, :upto], band_buf[1, :upto], i_buf[:upto]
         )
         if piv < eps_pivot or not math.isfinite(log_abs):
             # locate the first offending slice within the chunk
             for row in range(upto):
-                la, _, p = decode_bunch_kaufman(d_buf[row], o_buf[row], i_buf[row])
+                la, _, p = decode_bunch_kaufman(*band_buf[:, row], i_buf[row])
                 if p < eps_pivot:
                     raise SingularCrossing(first_slice_in_buf + row, p)
                 if not math.isfinite(la):
@@ -208,25 +219,25 @@ def matrix_logdet_aform(
         min_pivot = min(min_pivot, piv)
         first_slice_in_buf += upto
 
-    trf, trs = dsytrf, dsytrs
+    # the LAPACK wrappers take their options positionally (lower=1, lwork,
+    # overwrite_a=1): parsing keywords costs about 1 us a call, a tenth of
+    # a whole K = 15 step
+    trf, trs, sub = dsytrf, dsytrs, np.subtract
     inv = 0.0  # B_{n-1}^{-1}; there is none before the first slice
     for n, T in enumerate(_slices(spec, pot), start=1):
-        # T is symmetric, so T.T is the same matrix in Fortran order, which
-        # dsytrf factors in place
-        B = T.T
-        B -= inv
-        ldu, ipiv, info = trf(B, lower=1, lwork=lwork, overwrite_a=1)
+        # T is symmetric, so T.T is the same matrix in Fortran order
+        sub(T.T, inv, out=B)
+        ldu, ipiv, info = trf(B, 1, lwork, 1)
         if info > 0:
             raise SingularCrossing(n, 0.0)
-        d_buf[filled] = ldu.diagonal()
-        o_buf[filled] = ldu.diagonal(-1)
+        band_buf[:, filled] = band
         i_buf[filled] = ipiv
         filled += 1
         if filled == chunk or n == n_steps:
             flush(filled)
             filled = 0
         if n < n_steps:
-            inv, info = trs(ldu, ipiv, eye, lower=1)
+            inv, info = trs(ldu, ipiv, eye, 1)
             if info != 0:
                 raise SingularCrossing(n, 0.0)
     if not math.isfinite(acc_log):
@@ -254,8 +265,8 @@ def matrix_gy_states(
     acc_log = 0.0
     acc_sign = 1
     inv = 0.0  # B_{n-1}^{-1}; there is none before the first slice
-    for n, B in enumerate(_slices(spec, pot), start=1):
-        B -= inv
+    for n, T in enumerate(_slices(spec, pot), start=1):
+        B = T - inv
         fac = SymmetricFactor(B)
         if fac.exact_singular or fac.min_pivot < eps_pivot:
             raise SingularCrossing(n, fac.min_pivot)
