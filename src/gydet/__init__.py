@@ -9,15 +9,16 @@ The package computes them three ways and makes the ways fight:
   * large-lattice asymptotic formulas for the 2D massive and massless
     operators, with all their special constants and quadratures.
 
-A continuum companion solves the corresponding initial value problems for
-regularized determinant ratios in one dimension and in a truncated
-sine-mode basis.  The `gydet` CLI exposes single determinants (JSON),
+A continuum companion computes regularized determinant ratios in one
+dimension and in a truncated sine-mode basis as the extrapolated limit of
+the same lattice sweeps.  The `gydet` CLI exposes single determinants (JSON),
 asymptotic breakdowns (JSON), scaling benchmarks (CSV), and the
 cross-method verification suite.
 """
 
 from .errors import (
     GydetError,
+    NonConvergentRatio,
     NonConvergentTruncation,
     NonFiniteRecursion,
     PotentialFileError,
@@ -90,6 +91,7 @@ __all__ = [
     "LatticeSpec",
     "LogDet",
     "MassiveCorrectionParams",
+    "NonConvergentRatio",
     "NonConvergentTruncation",
     "NonFiniteRecursion",
     "Potential1D",

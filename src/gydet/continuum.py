@@ -1,25 +1,33 @@
-"""Continuum determinant ratios from initial value problems.
+"""Continuum determinant ratios as the h -> 0 limit of lattice ones.
 
 Bare continuum determinants diverge, so this module only ever returns the
 regularized ratio ln(det(H_V) / det(H_0)).  In one dimension that is
 ln(y_V(L) / y_0(L)) with -y'' + V y = 0, y(0) = 0, y'(0) = 1; in two
 dimensions (one transverse direction, Dirichlet on [0, W]) it is
-ln det Y_V(L) - ln det Y_0(L) for the matrix problem truncated to K sine
-modes, with -Delta_hat = diag((pi n / W)^2).
+ln det Y_V(L) - ln det Y_0(L) for the matrix problem Y'' = Omega(x) Y
+truncated to K sine modes, Omega = diag((pi n / W)^2) + V-hat(x).
 
-Both the potential run and the free run are integrated with the same
-classical fourth-order scheme and the same step sequence, so the V = 0
-ratio is exactly zero (bitwise identical arithmetic) and leading scheme
-error cancels in the ratio; the analytic free factors
-ln(sinh(w n L)/w n) are kept in the test suite as an independent check.
-Step control is whole-interval step doubling from a 64-step floor until
-the result moves less than the requested tolerance.
+Both are computed with the lattice sweep of gydet.gy, the paper's one
+recursion for discrete and continuum operators.  x is sampled at the nodes
+x_i = L i / n (h = L / n), and the ratio is sum_i ln det B_i(V) minus
+sum_i ln det B_i(0) for the bounded recursion over the slices
+T_i = 2I + h^2 Omega(x_i): scalar_logdet once per mode for 1-D and
+mode-diagonal potentials, the A-form for dense couplings.  For smooth V
+the error of this discrete ratio is a series in h^2, which Richardson
+extrapolation over step doubling from n = MIN_STEPS removes until the
+extrapolated value moves less than the requested tolerance; the chain
+diagonals are rounded with compensated running sums (_on_grid), so that
+rounding 2 + h^2 V does not grow into an O(n^2 eps) error.  The free
+system runs through the same code with identical arithmetic, so a
+potential that evaluates to zero gives exactly 0.0.  A potential with a
+jump converges only at first order; a ratio that has not met its
+tolerance by MAX_STEPS raises NonConvergentRatio instead of being returned.
 
-The first-order (Riccati) route z' = -z^2 + V is available as a 1D
-diagnostic.  Its initial condition z(0) = infinity is regularized by
+The first-order (Riccati) route z' = -z^2 + V is kept as an independent
+1-D check.  Its initial condition z(0) = infinity is regularized by
 starting at x0 > 0 and the 1/x behaviour near the left end is handled by
 integrating u = x z on a logarithmic axis: u' = u - u^2 + x^2 V(x) in
-t = ln x, with u(x0) = 1.
+t = ln x, with u(x0) = 1, by classical RK4 on the same convergence loop.
 
 Mode-space truncation of a genuinely two-dimensional potential is only
 guaranteed to converge in K for finite-rank or summably decaying mode
@@ -31,20 +39,22 @@ check_truncation).
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import NonConvergentTruncation, SignChange
+from .errors import NonConvergentRatio, NonConvergentTruncation, SignChange, SingularCrossing
+from .gy import _aform_logdet, scalar_logdet
+from .logdet import LogDet
 from .quadrature import adaptive_quad
 
 MIN_STEPS = 64
-MAX_STEPS = 1 << 22
-RESCALE_THRESHOLD = 1e100
+MAX_STEPS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -65,7 +75,8 @@ class Potential1D:
 
 @dataclass(frozen=True)
 class RatioResult:
-    """ln(det H_V / det H_0) plus solver metadata."""
+    """ln(det H_V / det H_0) plus solver metadata: step_count is the finest
+    n used and estimated_error the last Richardson difference."""
 
     log_ratio: float
     step_count: int
@@ -74,65 +85,82 @@ class RatioResult:
     truncation_gap: Optional[float] = None
 
 
-def _rk4_sweep_1d(V: Callable[[float], float], L: float, n_steps: int) -> float:
-    """Integrate -y'' + V y = 0, y(0)=0, y'(0)=1 with n_steps RK4 steps;
-    returns y(L).  State (y, p); p' = V y."""
-    h = L / n_steps
-    y = 0.0
-    p = 1.0
-    x = 0.0
-    for _ in range(n_steps):
-        v1 = V(x)
-        k1y = p
-        k1p = v1 * y
-        v2 = V(x + 0.5 * h)
-        k2y = p + 0.5 * h * k1p
-        k2p = v2 * (y + 0.5 * h * k1y)
-        k3y = p + 0.5 * h * k2p
-        k3p = v2 * (y + 0.5 * h * k2y)
-        v3 = V(x + h)
-        k4y = p + h * k3p
-        k4p = v3 * (y + h * k3y)
-        y += h / 6.0 * (k1y + 2.0 * (k2y + k3y) + k4y)
-        p += h / 6.0 * (k1p + 2.0 * (k2p + k3p) + k4p)
-        x += h
-    return y
+def _extrapolate(run: Callable[[int], float], tol: float, order: int, step: int) -> RatioResult:
+    """Richardson extrapolation of run(n) over n = MIN_STEPS, 2 MIN_STEPS, ...
+    for an error series in h^order, h^(order + step), h^(order + 2 step), ...
 
-
-def ratio_logdet_1d(pot: Potential1D, tol: float = 1e-10) -> RatioResult:
-    """ln(y_V(L) / y_0(L)) by step-doubled RK4.
-
-    The free solution is integrated with the identical scheme, so a
-    potential that evaluates to zero gives exactly 0.0 (and y_0(L) = L to
-    machine precision otherwise).  Raises SignChange when y_V(L) <= 0: a
-    negative eigenvalue has been crossed and the real-valued ratio log is
-    undefined.
+    Returns the newest diagonal entry of the tableau once it moves less than
+    tol * max(1, |value|); raises NonConvergentRatio if that has not
+    happened by MAX_STEPS, and SignChange if a sweep meets a singular pivot.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    L = pot.L
+    prev: list[float] = []
     n = MIN_STEPS
-    prev = None
     while True:
-        yV = _rk4_sweep_1d(pot.V, L, n)
-        y0 = _rk4_sweep_1d(lambda x: 0.0, L, n)
-        if not (math.isfinite(yV) and math.isfinite(y0)):
-            raise SignChange("solution left the finite range")
-        if yV <= 0.0:
-            raise SignChange(
-                f"y(L) = {yV:.6e} <= 0: negative eigenvalue crossed"
-            )
-        cur = math.log(yV) - math.log(y0)
-        if prev is not None:
-            err = abs(cur - prev)
-            if err <= tol * max(1.0, abs(cur)) or n >= MAX_STEPS:
-                return RatioResult(
-                    log_ratio=cur,
-                    step_count=n,
-                    estimated_error=err / 15.0,  # RK4 Richardson factor
-                )
-        prev = cur
+        try:
+            row = [run(n)]
+        except SingularCrossing as exc:
+            raise SignChange(f"eigenvalue crossing at n = {n}: {exc}") from exc
+        for j, r in enumerate(prev):
+            row.append(row[j] + (row[j] - r) / (2.0 ** (order + j * step) - 1.0))
+        # a V that vanishes on the nodes of the first two levels (sin(2 pi
+        # 64 x / L), say) gives them equal values, so convergence is not
+        # judged before the third
+        if len(row) > 2:
+            err = abs(row[-1] - prev[-1])
+            scale = max(1.0, abs(row[-1]))
+            if err <= tol * scale:
+                return RatioResult(log_ratio=row[-1], step_count=n, estimated_error=err)
+            if n >= MAX_STEPS:
+                raise NonConvergentRatio(err / scale, tol, n)
+        prev = row
         n *= 2
+
+
+def _positive_log(ld: LogDet) -> float:
+    """ln det of a sweep whose determinant must stay positive."""
+    if ld.sign < 0:
+        raise SignChange("determinant went negative: eigenvalue crossed")
+    return ld.log_abs
+
+
+def _on_grid(v: np.ndarray) -> np.ndarray:
+    """v moved, along axis 0, onto multiples of the spacing q of the doubles
+    in [2, 4), so that 2 + v is exact, with the running sum of the moves
+    kept within q / 2.  Rounding 2 + h^2 V shifts V by up to q / 2h^2 at
+    every node, which for a smooth V adds up to an O(n^2 eps) error in the
+    ratio; with the moves compensated it stays O(n eps)."""
+    q = np.spacing(2.0)
+    g = np.round(v / q) * q
+    carry = np.round(np.cumsum(v - g, axis=0) / q) * q
+    return g + np.diff(carry, axis=0, prepend=0.0)
+
+
+def _chain_ratio(diag_V: np.ndarray, diag_0: np.ndarray) -> float:
+    """Sum over the columns k of ln det(tridiag(-1, 2 + diag[:, k], -1))
+    for diag_V minus the same for diag_0, one scalar sweep per column."""
+    return sum(
+        _positive_log(scalar_logdet(v)) - _positive_log(scalar_logdet(f))
+        for v, f in zip(_on_grid(diag_V).T, _on_grid(diag_0).T)
+    )
+
+
+def ratio_logdet_1d(pot: Potential1D, tol: float = 1e-10) -> RatioResult:
+    """ln(y_V(L) / y_0(L)) as the h -> 0 limit of the lattice ratio.
+
+    Raises SignChange when y_V(L) <= 0 (a negative eigenvalue has been
+    crossed and the real-valued ratio log is undefined) and
+    NonConvergentRatio when tol is not met by MAX_STEPS.
+    """
+    L, V = pot.L, pot.V
+
+    def run(n: int) -> float:
+        h2 = (L / n) ** 2
+        diag = h2 * np.array([[V(L * i / n)] for i in range(1, n)])
+        return _chain_ratio(diag, np.zeros_like(diag))
+
+    return _extrapolate(run, tol, order=2, step=2)
 
 
 def ratio_logdet_1d_riccati(
@@ -143,12 +171,11 @@ def ratio_logdet_1d_riccati(
 
     Substituting u = x z, t = ln x turns the singular start into the
     smooth problem u' = u - u^2 + x^2 V with u = 1 at t0, integrated with
-    the same step-doubling RK4.  x0 defaults to tol-scaled: x0 = L * tol
-    (floored at 1e-12 L), making the start bias ~ V * x0^2 negligible
-    against tol.  Divergence of u signals a sign change of y.
+    classical RK4 under Richardson extrapolation.  x0 defaults to
+    tol-scaled: x0 = L * tol (floored at 1e-12 L), making the start bias
+    ~ V * x0^2 negligible against tol.  Divergence of u signals a sign
+    change of y.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     L = pot.L
     x0 = L * (x0_scale if x0_scale is not None else max(tol, 1e-12))
     T = math.log(L / x0)
@@ -182,21 +209,10 @@ def ratio_logdet_1d_riccati(
             t += h
             if not math.isfinite(u):
                 raise SignChange("Riccati variable diverged: sign change")
-        return s
+        return math.log(x0) - math.log(L) + s
 
-    n = MIN_STEPS
-    prev = None
-    while True:
-        s = sweep(n)
-        cur = math.log(x0) - math.log(L) + s
-        if prev is not None:
-            err = abs(cur - prev)
-            if err <= tol * max(1.0, abs(cur)) or n >= MAX_STEPS:
-                return RatioResult(
-                    log_ratio=cur, step_count=n, estimated_error=err / 15.0
-                )
-        prev = cur
-        n *= 2
+    # RK4's global error is a series in every power of h from the fourth on
+    return _extrapolate(sweep, tol, order=4, step=1)
 
 
 class TransversePotential2D:
@@ -310,6 +326,9 @@ class TransversePotential2D:
             V = np.asarray(self._mode_matrix(x, K), dtype=float)
             if V.shape != (K, K):
                 raise ValueError(f"mode matrix has shape {V.shape}, expected {(K, K)}")
+            if not np.array_equal(V, V.T):
+                # the A-form sweep reads one triangle of each slice
+                raise ValueError("mode matrix is not symmetric")
             return V
         W = self.W
         norm = 2.0 / W
@@ -344,109 +363,6 @@ def v_matrix_elements(
     return pot.matrix_elements(x, K, tol=tol)
 
 
-def _free_omegas(W: float, K: int) -> np.ndarray:
-    n = np.arange(1, K + 1)
-    return math.pi * n / W
-
-
-def _sweep_diagonal(
-    omega2: Callable[[float, int], np.ndarray], L: float, K: int, n_steps: int
-):
-    """Vectorized per-mode RK4 for mode-diagonal problems.
-
-    State y, p per mode with y'' = omega2(x) y; per-mode power-of-two-free
-    rescaling with log bookkeeping.  Returns (log|y_k(L)| array, sign array).
-    """
-    h = L / n_steps
-    y = np.zeros(K)
-    p = np.ones(K)
-    logscale = np.zeros(K)
-    x = 0.0
-    check_every = 16
-    for step in range(n_steps):
-        w1 = omega2(x, K)
-        wm = omega2(x + 0.5 * h, K)
-        w2 = omega2(x + h, K)
-        k1y = p
-        k1p = w1 * y
-        y2 = y + 0.5 * h * k1y
-        p2 = p + 0.5 * h * k1p
-        k2y = p2
-        k2p = wm * y2
-        y3 = y + 0.5 * h * k2y
-        p3 = p + 0.5 * h * k2p
-        k3y = p3
-        k3p = wm * y3
-        y4 = y + h * k3y
-        p4 = p + h * k3p
-        k4y = p4
-        k4p = w2 * y4
-        y = y + h / 6.0 * (k1y + 2.0 * (k2y + k3y) + k4y)
-        p = p + h / 6.0 * (k1p + 2.0 * (k2p + k3p) + k4p)
-        x += h
-        if step % check_every == check_every - 1:
-            peak = np.maximum(np.abs(y), np.abs(p))
-            big = peak > RESCALE_THRESHOLD
-            if big.any():
-                s = peak[big]
-                y[big] /= s
-                p[big] /= s
-                logscale[big] += np.log(s)
-    ay = np.abs(y)
-    if not np.isfinite(ay).all() or (ay == 0.0).any():
-        raise SignChange("a mode solution vanished or diverged")
-    return np.log(ay) + logscale, np.sign(y)
-
-
-def _sweep_matrix(
-    omega2: Callable[[float], np.ndarray], L: float, K: int, n_steps: int
-):
-    """Full-matrix RK4 sweep: Y'' = Omega(x) Y from Y = 0, Y' = I.
-
-    Common rescale for the (Y, P) pair; returns (log|det Y(L)|, sign,
-    K * accumulated scale log).
-    """
-    h = L / n_steps
-    Y = np.zeros((K, K))
-    P = np.eye(K)
-    logscale = 0.0
-    x = 0.0
-    check_every = 16
-    for step in range(n_steps):
-        W1 = omega2(x)
-        Wm = omega2(x + 0.5 * h)
-        W2 = omega2(x + h)
-        k1y = P
-        k1p = W1 @ Y
-        Y2 = Y + 0.5 * h * k1y
-        P2 = P + 0.5 * h * k1p
-        k2y = P2
-        k2p = Wm @ Y2
-        Y3 = Y + 0.5 * h * k2y
-        P3 = P + 0.5 * h * k2p
-        k3y = P3
-        k3p = Wm @ Y3
-        Y4 = Y + h * k3y
-        P4 = P + h * k3p
-        k4y = P4
-        k4p = W2 @ Y4
-        Y = Y + h / 6.0 * (k1y + 2.0 * (k2y + k3y) + k4y)
-        P = P + h / 6.0 * (k1p + 2.0 * (k2p + k3p) + k4p)
-        x += h
-        if step % check_every == check_every - 1:
-            peak = max(np.abs(Y).max(), np.abs(P).max())
-            if not math.isfinite(peak):
-                raise SignChange("matrix solution diverged")
-            if peak > RESCALE_THRESHOLD:
-                Y /= peak
-                P /= peak
-                logscale += math.log(peak)
-    sign, log_abs = np.linalg.slogdet(Y)
-    if sign == 0 or not math.isfinite(log_abs):
-        raise SignChange("det Y(L) vanished: eigenvalue crossing")
-    return log_abs, sign, K * logscale
-
-
 def ratio_logdet_2d_truncated(
     pot: TransversePotential2D,
     L: float,
@@ -458,74 +374,53 @@ def ratio_logdet_2d_truncated(
 ) -> RatioResult:
     """ln(det H_V / det H_0) in the K-mode sine-basis truncation.
 
-    Integrates the matrix (or, for mode-diagonal potentials, the
-    decoupled per-mode) initial value problem for the potential and for
-    the free operator with identical step sequences and subtracts the
-    log-determinants; V = 0 therefore returns exactly 0 for every K.
-    With check_truncation the value at K//2 is computed as well, their
-    gap reported in truncation_gap, and a NonConvergentTruncation warning
-    is issued when the gap exceeds 10 * tol (constant-mass couplings
-    genuinely diverge logarithmically in K; see the module docstring).
+    Sweeps the lattice slices T_i = 2I + h^2 Omega(x_i) for the potential
+    and for the free operator on the same nodes and subtracts the
+    log-determinants (one scalar chain per mode for mode-diagonal
+    potentials, the A-form otherwise); V = 0 therefore returns exactly 0
+    for every K.  Raises SignChange when the determinant (or, mode-diagonal,
+    one mode's factor) goes negative, and NonConvergentRatio when tol is
+    not met by MAX_STEPS.  With check_truncation the value at K//2 is
+    computed as well, their gap reported in truncation_gap, and a
+    NonConvergentTruncation warning is issued when the gap exceeds 10 * tol
+    (constant-mass couplings genuinely diverge logarithmically in K; see
+    the module docstring).
     """
     if K < 1:
         raise ValueError(f"K must be >= 1, got {K}")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     if abs(W - pot.W) > 1e-12 * max(1.0, abs(W)):
         raise ValueError("W disagrees with the potential's transverse extent")
-    om0sq = _free_omegas(W, K) ** 2
+    om0sq = (math.pi * np.arange(1, K + 1) / W) ** 2
 
     if pot.is_mode_diagonal:
-        def omega2_V(x: float, k: int) -> np.ndarray:
-            return om0sq[:k] + pot.diagonal_modes(x, k)
-
-        def omega2_0(x: float, k: int) -> np.ndarray:
-            return om0sq[:k] + np.zeros(k)
-
-        def run(n_steps: int) -> float:
-            lv, sv = _sweep_diagonal(omega2_V, L, K, n_steps)
-            l0, s0 = _sweep_diagonal(omega2_0, L, K, n_steps)
-            if (sv <= 0).any():
-                raise SignChange("a mode determinant factor went negative")
-            return float((lv - l0).sum())
+        def run(n: int) -> float:
+            h2 = (L / n) ** 2
+            om = om0sq + np.array([pot.diagonal_modes(L * i / n, K) for i in range(1, n)])
+            return _chain_ratio(h2 * om, h2 * (om0sq + np.zeros_like(om)))
     else:
-        cache_V: dict[float, np.ndarray] = {}
+        elements = functools.partial(pot.matrix_elements, K=K)
+        if pot._position is not None:
+            # K(K+1)/2 quadratures a node; L i / n gives a node the same
+            # float at every doubling, so each is computed once
+            elements = functools.cache(elements)
+        zero = np.zeros((K, K))
+        two = 2.0 * np.eye(K)
+        om0 = np.diag(om0sq)
 
-        def omega_mat(x: float) -> np.ndarray:
-            got = cache_V.get(x)
-            if got is None:
-                got = np.diag(om0sq) + pot.matrix_elements(x, K)
-                cache_V[x] = got
-            return got
+        def run(n: int) -> float:
+            h2 = (L / n) ** 2
+            nodes = [L * i / n for i in range(1, n)]
 
-        om0_mat = np.diag(om0sq)
+            def sweep(vhat: Callable[[float], np.ndarray]) -> float:
+                slices = (two + h2 * (om0 + vhat(x)) for x in nodes)
+                return _positive_log(_aform_logdet(slices, K, n - 1))
 
-        def run(n_steps: int) -> float:
-            lv, sv, scale_v = _sweep_matrix(omega_mat, L, K, n_steps)
-            l0, s0, scale_0 = _sweep_matrix(lambda x: om0_mat, L, K, n_steps)
-            if sv <= 0:
-                raise SignChange("det Y(L) went negative: eigenvalue crossed")
-            return float((lv + scale_v) - (l0 + scale_0))
+            return sweep(elements) - sweep(lambda x: zero)
 
-    n = MIN_STEPS
-    prev = None
-    while True:
-        cur = run(n)
-        if prev is not None:
-            err = abs(cur - prev)
-            if err <= tol * max(1.0, abs(cur)) or n >= MAX_STEPS:
-                break
-        prev = cur
-        n *= 2
-    result = RatioResult(
-        log_ratio=cur,
-        step_count=n,
-        estimated_error=abs(cur - prev) / 15.0 if prev is not None else 0.0,
-        K_used=K,
-    )
+    result = replace(_extrapolate(run, tol, order=2, step=2), K_used=K)
     if check_truncation and K >= 2:
         half = ratio_logdet_2d_truncated(pot, L, W, K // 2, tol)
-        gap = cur - half.log_ratio
+        gap = result.log_ratio - half.log_ratio
         if abs(gap) > 10.0 * tol:
             warnings.warn(
                 f"truncated ratio still moving in K: value(K={K}) - "
@@ -533,11 +428,5 @@ def ratio_logdet_2d_truncated(
                 NonConvergentTruncation,
                 stacklevel=2,
             )
-        result = RatioResult(
-            log_ratio=cur,
-            step_count=n,
-            estimated_error=result.estimated_error,
-            K_used=K,
-            truncation_gap=gap,
-        )
+        result = replace(result, truncation_gap=gap)
     return result

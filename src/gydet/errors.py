@@ -56,6 +56,19 @@ class QuadratureError(GydetError):
         )
 
 
+class NonConvergentRatio(GydetError):
+    """A continuum ratio did not meet its tolerance before the step cap."""
+
+    def __init__(self, achieved: float, requested: float, step_count: int):
+        self.achieved = achieved
+        self.requested = requested
+        self.step_count = step_count
+        super().__init__(
+            f"continuum ratio did not converge by {step_count} steps: "
+            f"achieved {achieved:.3e}, requested {requested:.3e}"
+        )
+
+
 class PotentialFileError(GydetError):
     """A potential file is malformed, has missing sites, or duplicates."""
 

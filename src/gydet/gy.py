@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 from scipy.linalg.lapack import dsytrf, dsytrf_lwork, dsytrs
@@ -160,22 +160,30 @@ def _slices(spec: LatticeSpec, pot: PotentialField) -> Iterator[np.ndarray]:
 def matrix_logdet_aform(
     spec: LatticeSpec, pot: PotentialField, *, eps_pivot: float = EPS_PIVOT
 ) -> LogDet:
-    """Sign-tracked ln|det(-Delta_d + V)| via the bounded matrix recursion.
+    """Sign-tracked ln|det(-Delta_d + V)| via the bounded matrix recursion
+    (see _aform_logdet), over the slices T_n = 2I - Delta_{d-1} + V_n."""
+    if pot.spec != spec:
+        raise ValueError("potential was built for a different lattice")
+    return _aform_logdet(_slices(spec, pot), spec.K, spec.N - 1, eps_pivot)
 
-    Each step factors B_n = A_n + I with symmetric (Bunch-Kaufman)
-    pivoting; the pivot-block determinants accumulate into the answer and
-    the same factorization supplies B_n^{-1} for the next step, so the
-    whole sweep costs O(N K^3) time.  Slices are built as the sweep reaches
+
+def _aform_logdet(
+    slices: Iterable[np.ndarray], K: int, n_steps: int, eps_pivot: float = EPS_PIVOT
+) -> LogDet:
+    """ln|det| and sign of the block-tridiagonal matrix with the n_steps
+    symmetric K x K diagonal blocks T_n taken from slices and -I off the
+    diagonal, by the bounded recursion B_1 = T_1, B_{n+1} = T_{n+1} - B_n^{-1}.
+
+    Each step factors B_n with symmetric (Bunch-Kaufman) pivoting; the
+    pivot-block determinants accumulate into the answer and the same
+    factorization supplies B_n^{-1} for the next step, so the whole sweep
+    costs O(n_steps K^3) time.  Slices are consumed as the sweep reaches
     them, so it keeps O(K^2) working memory besides the pivot buffers of
     at most 4096 slices.  Pivot data is buffered and decoded in
     vectorized chunks; exact LAPACK singularity reports surface
     immediately, anything below eps_pivot surfaces at the chunk boundary
     naming the offending slice.
     """
-    if pot.spec != spec:
-        raise ValueError("potential was built for a different lattice")
-    K = spec.K
-    n_steps = spec.N - 1
     lwork = dsytrf_lwork(K)[0]
     eye = np.eye(K, order="F")
 
@@ -224,7 +232,7 @@ def matrix_logdet_aform(
     # a whole K = 15 step
     trf, trs, sub = dsytrf, dsytrs, np.subtract
     inv = 0.0  # B_{n-1}^{-1}; there is none before the first slice
-    for n, T in enumerate(_slices(spec, pot), start=1):
+    for n, T in enumerate(slices, start=1):
         # T is symmetric, so T.T is the same matrix in Fortran order
         sub(T.T, inv, out=B)
         ldu, ipiv, info = trf(B, 1, lwork, 1)

@@ -223,6 +223,27 @@ def check_continuum_rank1(quick: bool) -> Optional[str]:
     return None
 
 
+def check_continuum_dense_coupling(quick: bool) -> Optional[str]:
+    """The dense, x-independent coupling V-hat_nm = 3/(nm)^2 at K = 32 (16
+    quick) matches sum_k ln(sinh(sqrt(mu_k) L)/sqrt(mu_k)) over
+    mu = eigvalsh(diag((pi k/W)^2) + V-hat), minus the free term, to 1e-8."""
+    W = L = 1.0
+    K = 16 if quick else 32
+    k = np.arange(1, K + 1)
+    vhat = 3.0 / np.outer(k, k) ** 2
+    free = (math.pi * k / W) ** 2
+
+    def log_det(mu: np.ndarray) -> float:
+        return math.fsum(oracles.log_sinh(math.sqrt(m) * L) - 0.5 * math.log(m) for m in mu)
+
+    want = log_det(np.linalg.eigvalsh(np.diag(free) + vhat)) - log_det(free)
+    pot = continuum.TransversePotential2D(W, mode_matrix=lambda x, n: vhat[:n, :n])
+    got = continuum.ratio_logdet_2d_truncated(pot, L, W, K, tol=1e-10).log_ratio
+    if abs(got - want) > 1e-8:
+        return f"K={K}: off by {got - want:.2e}"
+    return None
+
+
 CHECKS: list[tuple[str, Callable[[bool], Optional[str]]]] = [
     ("scalar-free-laplacian", check_scalar_free_laplacian),
     ("scalar-fibonacci", check_scalar_fibonacci),
@@ -236,6 +257,7 @@ CHECKS: list[tuple[str, Callable[[bool], Optional[str]]]] = [
     ("massless-area-density", check_massless_area_density),
     ("continuum-1d-closed-form", check_continuum_1d),
     ("continuum-2d-rank1", check_continuum_rank1),
+    ("continuum-2d-dense-coupling", check_continuum_dense_coupling),
 ]
 
 

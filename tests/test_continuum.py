@@ -12,12 +12,32 @@ from gydet.continuum import (
     ratio_logdet_2d_truncated,
     v_matrix_elements,
 )
-from gydet.errors import NonConvergentTruncation, SignChange
+from gydet.errors import NonConvergentRatio, NonConvergentTruncation, SignChange
 from gydet.gy import scalar_logdet
+from gydet.oracles import log_sinh
 
 
 def massive_ratio_1d(mL: float) -> float:
     return math.log(math.sinh(mL) / mL)
+
+
+def x_independent_ratio_2d(vhat: np.ndarray, L: float, W: float) -> float:
+    """Exact ratio for a mode coupling that does not depend on x:
+    sum_k ln(sinh(sqrt(mu_k) L)/sqrt(mu_k)) over mu = eigvalsh(Omega),
+    minus the same over the free (pi k / W)^2."""
+    free = (math.pi * np.arange(1, vhat.shape[0] + 1) / W) ** 2
+
+    def log_det(mu):
+        return math.fsum(log_sinh(math.sqrt(m) * L) - 0.5 * math.log(m) for m in mu)
+
+    return log_det(np.linalg.eigvalsh(np.diag(free) + vhat)) - log_det(free)
+
+
+# V = 1 on [0, 1/2) and 9 on [1/2, 1]: the jump leaves a lattice error of
+# first order in h, which Richardson extrapolation in h^2 does not remove
+STEP = Potential1D(V=lambda x: 1.0 if x < 0.5 else 9.0, L=1.0)
+# transfer matrix: y = sinh x up to x = 1/2, then cosh/sinh of 3(x - 1/2)
+STEP_RATIO = math.log(math.sinh(0.5) * math.cosh(1.5) + math.cosh(0.5) * math.sinh(1.5) / 3.0)
 
 
 class TestRatio1D:
@@ -58,9 +78,50 @@ class TestRatio1D:
         want = math.log(math.sin(2.0 * math.sqrt(40.0)) / (math.sqrt(40.0) * 2.0))
         assert abs(r.log_ratio - want) < 1e-7
 
+    def test_potential_vanishing_on_coarse_nodes(self):
+        # V is zero on every node x = i/128, so the first two samplings
+        # agree on a ratio of 0 that is not the limit
+        pot = Potential1D(V=lambda x: 50.0 * math.sin(128.0 * math.pi * x), L=1.0)
+        lin = ratio_logdet_1d(pot, tol=1e-8).log_ratio
+        ric = ratio_logdet_1d_riccati(pot, tol=1e-8).log_ratio
+        assert abs(lin - ric) < 1e-7 and abs(lin) > 1e-3, (lin, ric)
+
     def test_estimated_error_reported(self):
         r = ratio_logdet_1d(Potential1D.constant(1.0, 1.0), tol=1e-10)
         assert 0.0 <= r.estimated_error < 1e-10
+
+
+class TestNonSmoothPotential:
+    @pytest.mark.parametrize("route", [ratio_logdet_1d, ratio_logdet_1d_riccati])
+    def test_loose_tolerance_is_met(self, route):
+        tol = 1e-4
+        r = route(STEP, tol=tol)
+        assert abs(r.log_ratio - STEP_RATIO) < 3 * tol, r
+
+    @pytest.mark.parametrize(
+        "route",
+        [
+            lambda tol: ratio_logdet_1d(STEP, tol=tol),
+            lambda tol: ratio_logdet_1d_riccati(STEP, tol=tol),
+            lambda tol: ratio_logdet_2d_truncated(
+                TransversePotential2D(
+                    1.0, diagonal_modes=lambda x, K: np.full(K, STEP.V(x))
+                ),
+                1.0,
+                1.0,
+                2,
+                tol=tol,
+            ),
+        ],
+        ids=["1d", "riccati", "2d"],
+    )
+    def test_unreachable_tolerance_raises(self, route):
+        # first-order convergence cannot reach 1e-10 within the step cap:
+        # the route must say so instead of returning an unconverged value
+        with pytest.raises(NonConvergentRatio) as info:
+            route(1e-10)
+        assert info.value.requested == 1e-10
+        assert info.value.achieved > 1e-10
 
 
 class TestRiccatiDiagnostic:
@@ -120,6 +181,11 @@ class TestMatrixElements:
         assert abs(V[1, 1] - 0.5) < 1e-10
         assert abs(V[0, 1] - (-16.0 / (9.0 * math.pi**2))) < 1e-10
 
+    def test_asymmetric_mode_matrix_rejected(self):
+        pot = TransversePotential2D(1.0, mode_matrix=lambda x, K: np.triu(np.ones((K, K))))
+        with pytest.raises(ValueError):
+            ratio_logdet_2d_truncated(pot, 1.0, 1.0, 3, tol=1e-8)
+
     def test_mode_space_passthrough(self):
         want = np.array([[1.0, 0.25], [0.25, 2.0]])
         pot = TransversePotential2D(1.0, mode_matrix=lambda x, K: want[:K, :K])
@@ -128,11 +194,24 @@ class TestMatrixElements:
 
 class TestRatio2D:
     def test_zero_potential_every_k(self):
-        for K in (1, 3, 8):
-            r = ratio_logdet_2d_truncated(
-                TransversePotential2D.constant(0.0, 1.0), 1.0, 1.0, K, tol=1e-8
-            )
-            assert r.log_ratio == 0.0 and r.K_used == K
+        # through the per-mode chains and through the dense A-form
+        for pot in (
+            TransversePotential2D.constant(0.0, 1.0),
+            TransversePotential2D(1.0, mode_matrix=lambda x, K: np.zeros((K, K))),
+        ):
+            for K in (1, 3, 8):
+                r = ratio_logdet_2d_truncated(pot, 1.0, 1.0, K, tol=1e-8)
+                assert r.log_ratio == 0.0 and r.K_used == K
+
+    @pytest.mark.parametrize("K", [16, 24])
+    def test_dense_coupling_against_exact(self, K):
+        # every mode coupled, so the growth spread pi (K - 1) L / W passes
+        # ln(1/eps) at K ~ 12: a sweep of the growing solution fails here
+        k = np.arange(1, K + 1)
+        vhat = 3.0 / np.outer(k, k) ** 2
+        pot = TransversePotential2D(1.0, mode_matrix=lambda x, n: vhat[:n, :n])
+        r = ratio_logdet_2d_truncated(pot, 1.0, 1.0, K, tol=1e-10)
+        assert abs(r.log_ratio - x_independent_ratio_2d(vhat, 1.0, 1.0)) <= 1e-8
 
     def test_rank1_closed_form_independent_of_k(self):
         W = L = 1.0
