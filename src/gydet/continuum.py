@@ -59,7 +59,8 @@ MAX_STEPS = 1 << 16
 
 @dataclass(frozen=True)
 class Potential1D:
-    """Potential V(x) on [0, L]; piecewise-continuous is fine."""
+    """Potential V(x) on [0, L]; piecewise-continuous is accepted, but a
+    jump makes the ratio converge only at first order in the step."""
 
     V: Callable[[float], float]
     L: float
@@ -128,9 +129,9 @@ def _positive_log(ld: LogDet) -> float:
 def _on_grid(v: np.ndarray) -> np.ndarray:
     """v moved, along axis 0, onto multiples of the spacing q of the doubles
     in [2, 4), so that 2 + v is exact, with the running sum of the moves
-    kept within q / 2.  Rounding 2 + h^2 V shifts V by up to q / 2h^2 at
-    every node, which for a smooth V adds up to an O(n^2 eps) error in the
-    ratio; with the moves compensated it stays O(n eps)."""
+    kept within q / 2.  Rounding 2 + h^2 V moves V by up to q / 2h^2 at
+    every node; for a constant V the moves share one sign and shift the
+    ratio by O(n^2 eps), while compensated moves do not accumulate."""
     q = np.spacing(2.0)
     g = np.round(v / q) * q
     carry = np.round(np.cumsum(v - g, axis=0) / q) * q
