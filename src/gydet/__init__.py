@@ -75,7 +75,6 @@ from .continuum import (
     ratio_logdet_1d,
     ratio_logdet_1d_riccati,
     ratio_logdet_2d_truncated,
-    v_matrix_elements,
 )
 
 __version__ = "0.1.0"
@@ -131,5 +130,4 @@ __all__ = [
     "transverse_eigenvalues",
     "transverse_laplacian",
     "transverse_slice",
-    "v_matrix_elements",
 ]

@@ -11,8 +11,9 @@ Data goes to stdout, logs to stderr.  Exit codes: 0 success, 1 usage
 error, 2 singular crossing, 3 failed verification.  JSON floats are
 printed as the shortest string that round-trips exactly; inf and nan,
 which JSON lacks, are printed as null.
-Thread count comes from --threads or GYDET_THREADS; benchmarks default
-to a single thread for stable scaling measurements.
+The BLAS thread cap comes from --threads or GYDET_THREADS (benchmarks
+default to 1) and needs threadpoolctl; without it a note on stderr says
+the cap was not applied.
 """
 
 from __future__ import annotations
@@ -73,13 +74,13 @@ def _thread_limit(n: int | None):
         return
     try:
         from threadpoolctl import threadpool_limits
-
-        with threadpool_limits(limits=n):
-            yield
     except ImportError:
-        # best effort: only effective if BLAS reads env at first import
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, str(n))
+        # BLAS is loaded by now, so setting its environment variables
+        # would change nothing
+        print(f"--threads {n} not applied: threadpoolctl is not installed", file=sys.stderr)
+        yield
+        return
+    with threadpool_limits(limits=n):
         yield
 
 

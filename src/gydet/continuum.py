@@ -164,21 +164,18 @@ def ratio_logdet_1d(pot: Potential1D, tol: float = 1e-10) -> RatioResult:
     return _extrapolate(run, tol, order=2, step=2)
 
 
-def ratio_logdet_1d_riccati(
-    pot: Potential1D, tol: float = 1e-10, x0_scale: Optional[float] = None
-) -> RatioResult:
+def ratio_logdet_1d_riccati(pot: Potential1D, tol: float = 1e-10) -> RatioResult:
     """Diagnostic first-order route: integrate the Riccati equation
     z' = -z^2 + V from z(x0) = 1/x0 and return ln x0 - ln L + int_x0^L z dx.
 
     Substituting u = x z, t = ln x turns the singular start into the
     smooth problem u' = u - u^2 + x^2 V with u = 1 at t0, integrated with
-    classical RK4 under Richardson extrapolation.  x0 defaults to
-    tol-scaled: x0 = L * tol (floored at 1e-12 L), making the start bias
-    ~ V * x0^2 negligible against tol.  Divergence of u signals a sign
-    change of y.
+    classical RK4 under Richardson extrapolation.  x0 is tol-scaled,
+    x0 = L * tol (floored at 1e-12 L), making the start bias ~ V * x0^2
+    negligible against tol.  Divergence of u signals a sign change of y.
     """
     L = pot.L
-    x0 = L * (x0_scale if x0_scale is not None else max(tol, 1e-12))
+    x0 = L * max(tol, 1e-12)
     T = math.log(L / x0)
     V = pot.V
 
@@ -334,34 +331,19 @@ class TransversePotential2D:
         W = self.W
         norm = 2.0 / W
         pos = self._position
-
-        def sampled(r: np.ndarray) -> np.ndarray:
-            # the position callable takes scalars by contract
-            r = np.atleast_1d(np.asarray(r, dtype=float))
-            return np.array([pos(x, float(ri)) for ri in r])
-
         V = np.empty((K, K))
         for n in range(1, K + 1):
             for m in range(n, K + 1):
                 val = adaptive_quad(
-                    lambda r: sampled(r)
-                    * np.sin(math.pi * n * r / W)
-                    * np.sin(math.pi * m * r / W),
+                    lambda r: pos(x, r)
+                    * math.sin(math.pi * n * r / W)
+                    * math.sin(math.pi * m * r / W),
                     0.0,
                     W,
                     tol=tol,
                 )
                 V[n - 1, m - 1] = V[m - 1, n - 1] = norm * val
         return V
-
-
-def v_matrix_elements(
-    pot: TransversePotential2D, x: float, K: int, *, tol: float = 1e-10
-) -> np.ndarray:
-    """Matrix elements of the potential at longitudinal position x in the
-    K-mode sine basis (quadrature for position-space potentials,
-    passthrough for mode-space ones)."""
-    return pot.matrix_elements(x, K, tol=tol)
 
 
 def ratio_logdet_2d_truncated(

@@ -90,12 +90,12 @@ def scalar_y_solution(V: Sequence[float]) -> np.ndarray:
     return y
 
 
-def scalar_logdet(V: Sequence[float], *, eps_pivot: float = EPS_PIVOT) -> LogDet:
+def scalar_logdet(V: Sequence[float]) -> LogDet:
     """Sign-tracked ln|det| of the 1D operator via the pivot recursion.
 
     The per-slice pivots a_k + 1 (ratios of successive homogeneous
     solutions) are accumulated as log|a_k + 1|; a pivot magnitude below
-    eps_pivot aborts with SingularCrossing naming the slice, since sign
+    EPS_PIVOT aborts with SingularCrossing naming the slice, since sign
     bookkeeping is meaningless across a zero mode.
     """
     V = np.asarray(V, dtype=float)
@@ -110,14 +110,14 @@ def scalar_logdet(V: Sequence[float], *, eps_pivot: float = EPS_PIVOT) -> LogDet
     acc = 0.0
     rescales = 0
     min_pivot = abs(u)  # first pivot a_1 + 1 = V_1 + 2 over y_1 = 1
-    if min_pivot < eps_pivot:
+    if min_pivot < EPS_PIVOT:
         raise SingularCrossing(1, min_pivot)
     for k, vk in enumerate(vals[1:], start=2):
         u, v = (2.0 + vk) * u - v, u
         au = abs(u)
         piv = au / abs(v)
         if piv < min_pivot:
-            if piv < eps_pivot:
+            if piv < EPS_PIVOT:
                 raise SingularCrossing(k, piv)
             min_pivot = piv
         if au > _SCALE_HI:
@@ -157,19 +157,15 @@ def _slices(spec: LatticeSpec, pot: PotentialField) -> Iterator[np.ndarray]:
         yield view
 
 
-def matrix_logdet_aform(
-    spec: LatticeSpec, pot: PotentialField, *, eps_pivot: float = EPS_PIVOT
-) -> LogDet:
+def matrix_logdet_aform(spec: LatticeSpec, pot: PotentialField) -> LogDet:
     """Sign-tracked ln|det(-Delta_d + V)| via the bounded matrix recursion
     (see _aform_logdet), over the slices T_n = 2I - Delta_{d-1} + V_n."""
     if pot.spec != spec:
         raise ValueError("potential was built for a different lattice")
-    return _aform_logdet(_slices(spec, pot), spec.K, spec.N - 1, eps_pivot)
+    return _aform_logdet(_slices(spec, pot), spec.K, spec.N - 1)
 
 
-def _aform_logdet(
-    slices: Iterable[np.ndarray], K: int, n_steps: int, eps_pivot: float = EPS_PIVOT
-) -> LogDet:
+def _aform_logdet(slices: Iterable[np.ndarray], K: int, n_steps: int) -> LogDet:
     """ln|det| and sign of the block-tridiagonal matrix with the n_steps
     symmetric K x K diagonal blocks T_n taken from slices and -I off the
     diagonal, by the bounded recursion B_1 = T_1, B_{n+1} = T_{n+1} - B_n^{-1}.
@@ -181,7 +177,7 @@ def _aform_logdet(
     them, so it keeps O(K^2) working memory besides the pivot buffers of
     at most 4096 slices.  Pivot data is buffered and decoded in
     vectorized chunks; exact LAPACK singularity reports surface
-    immediately, anything below eps_pivot surfaces at the chunk boundary
+    immediately, anything below EPS_PIVOT surfaces at the chunk boundary
     naming the offending slice.
     """
     lwork = dsytrf_lwork(K)[0]
@@ -214,11 +210,11 @@ def _aform_logdet(
         log_abs, nneg, piv = decode_bunch_kaufman(
             band_buf[0, :upto], band_buf[1, :upto], i_buf[:upto]
         )
-        if piv < eps_pivot or not math.isfinite(log_abs):
+        if piv < EPS_PIVOT or not math.isfinite(log_abs):
             # locate the first offending slice within the chunk
             for row in range(upto):
                 la, _, p = decode_bunch_kaufman(*band_buf[:, row], i_buf[row])
-                if p < eps_pivot:
+                if p < EPS_PIVOT:
                     raise SingularCrossing(first_slice_in_buf + row, p)
                 if not math.isfinite(la):
                     raise NonFiniteRecursion(first_slice_in_buf + row)
@@ -258,9 +254,7 @@ def _aform_logdet(
     )
 
 
-def matrix_gy_states(
-    spec: LatticeSpec, pot: PotentialField, *, eps_pivot: float = EPS_PIVOT
-) -> Iterator[GYState]:
+def matrix_gy_states(spec: LatticeSpec, pot: PotentialField) -> Iterator[GYState]:
     """Yield the bounded-recursion state slice by slice.
 
     Reference implementation of the same sweep as matrix_logdet_aform,
@@ -276,7 +270,7 @@ def matrix_gy_states(
     for n, T in enumerate(_slices(spec, pot), start=1):
         B = T - inv
         fac = SymmetricFactor(B)
-        if fac.exact_singular or fac.min_pivot < eps_pivot:
+        if fac.exact_singular or fac.min_pivot < EPS_PIVOT:
             raise SingularCrossing(n, fac.min_pivot)
         acc_log += fac.log_abs
         acc_sign *= fac.sign
@@ -288,7 +282,7 @@ def matrix_gy_states(
 
 
 def matrix_y_states(
-    spec: LatticeSpec, pot: PotentialField, *, rescale_threshold: float = RESCALE_THRESHOLD
+    spec: LatticeSpec, pot: PotentialField
 ) -> Iterator[tuple[int, np.ndarray, float]]:
     """Yield (n, Y_n_scaled, log_scale) for the growing matrix recursion.
 
@@ -308,16 +302,14 @@ def matrix_y_states(
         peak = np.abs(Y).max()
         if not math.isfinite(peak):
             raise NonFiniteRecursion(n + 1)
-        if peak > rescale_threshold:
+        if peak > RESCALE_THRESHOLD:
             Y /= peak
             Y_prev /= peak
             log_scale += math.log(peak)
         yield n + 1, Y, log_scale
 
 
-def matrix_logdet_yform(
-    spec: LatticeSpec, pot: PotentialField, *, rescale_threshold: float = RESCALE_THRESHOLD
-) -> LogDet:
+def matrix_logdet_yform(spec: LatticeSpec, pot: PotentialField) -> LogDet:
     """Sign-tracked ln|det(-Delta_d + V)| from the growing matrix solution.
 
     Propagates Y_n to n = N with periodic rescaling (each rescale adds
@@ -342,9 +334,7 @@ def matrix_logdet_yform(
     log_scale_prev = 0.0
     log_scale_total = 0.0
     Y_final = None
-    for n, Y, log_scale in matrix_y_states(
-        spec, pot, rescale_threshold=rescale_threshold
-    ):
+    for n, Y, log_scale in matrix_y_states(spec, pot):
         if log_scale != log_scale_prev:
             rescales += 1
             log_scale_prev = log_scale

@@ -20,7 +20,7 @@ from scipy.linalg.lapack import dsytrf, dsytrf_lwork, dsytrs
 
 from .errors import SingularMatrix
 
-#: Default pivot magnitude below which a singular crossing is declared.
+#: Pivot magnitude below which a singular crossing is declared.
 EPS_PIVOT = 1e-300
 
 

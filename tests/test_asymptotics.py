@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.integrate
 
 from gydet.asymptotics import (
     CATALAN,
@@ -20,7 +21,6 @@ from gydet.asymptotics import (
 )
 from gydet.lattice import transverse_eigenvalues
 from gydet.oracles import eigenproduct_logdet_2d, gamma_k, sinh_product_logdet
-from gydet import quadrature
 from gydet.quadrature import fixed_gauss_legendre
 
 # double-entry anchor for the computed constant (anti-typo)
@@ -34,17 +34,18 @@ I2_AT_4 = -2.02758942180013186913
 
 
 def count_panels(monkeypatch, fn, m2):
-    """Number of 15-point panels fn(m2) evaluates in the adaptive driver."""
-    calls = []
-    panel = quadrature._panel
+    """Number of 21-point QUADPACK panels fn(m2) ends up with."""
+    panels = []
+    quad = scipy.integrate.quad
 
-    def counting(*args):
-        calls.append(args)
-        return panel(*args)
+    def counting(*args, **kwargs):
+        out = quad(*args, **kwargs)
+        panels.append(out[2]["last"])
+        return out
 
-    monkeypatch.setattr(quadrature, "_panel", counting)
+    monkeypatch.setattr(scipy.integrate, "quad", counting)
     fn(m2)
-    return len(calls)
+    return sum(panels)
 
 
 class TestCatalan:

@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 
 import pytest
 
@@ -212,6 +213,14 @@ class TestThreads:
         monkeypatch.setenv("GYDET_THREADS", "1")
         code, out, _ = run_cli(capsys, "det", "--dim", "1", "--size-n", "5")
         assert code == 0
+
+    def test_unapplied_cap_says_so(self, capsys, monkeypatch):
+        monkeypatch.setitem(sys.modules, "threadpoolctl", None)
+        code, _, err = run_cli(
+            capsys, "--threads", "3", "det", "--dim", "1", "--size-n", "5",
+        )
+        assert code == 0
+        assert "--threads 3 not applied: threadpoolctl is not installed" in err
 
 
 class TestVerify:

@@ -10,7 +10,6 @@ from gydet.continuum import (
     ratio_logdet_1d,
     ratio_logdet_1d_riccati,
     ratio_logdet_2d_truncated,
-    v_matrix_elements,
 )
 from gydet.errors import NonConvergentRatio, NonConvergentTruncation, SignChange
 from gydet.gy import scalar_logdet
@@ -165,18 +164,18 @@ class TestDiscreteContinuumConsistency:
 class TestMatrixElements:
     def test_constant_gives_identity_multiple(self):
         pot = TransversePotential2D(2.0, position=lambda x, r: 3.5)
-        V = v_matrix_elements(pot, 0.1, 4)
+        V = pot.matrix_elements(0.1, 4)
         np.testing.assert_allclose(V, 3.5 * np.eye(4), atol=1e-10)
 
     def test_symmetry(self):
         pot = TransversePotential2D(1.0, position=lambda x, r: r * math.exp(-r))
-        V = v_matrix_elements(pot, 0.0, 5)
+        V = pot.matrix_elements(0.0, 5)
         assert np.abs(V - V.T).max() < 1e-12
 
     def test_linear_ramp_closed_form(self):
         # V(x, rho) = rho on W = 1: diagonals 1/2, (1,2) entry -16/(9 pi^2)
         pot = TransversePotential2D(1.0, position=lambda x, r: r)
-        V = v_matrix_elements(pot, 0.0, 2)
+        V = pot.matrix_elements(0.0, 2)
         assert abs(V[0, 0] - 0.5) < 1e-10
         assert abs(V[1, 1] - 0.5) < 1e-10
         assert abs(V[0, 1] - (-16.0 / (9.0 * math.pi**2))) < 1e-10
@@ -189,7 +188,7 @@ class TestMatrixElements:
     def test_mode_space_passthrough(self):
         want = np.array([[1.0, 0.25], [0.25, 2.0]])
         pot = TransversePotential2D(1.0, mode_matrix=lambda x, K: want[:K, :K])
-        np.testing.assert_array_equal(v_matrix_elements(pot, 0.3, 2), want)
+        np.testing.assert_array_equal(pot.matrix_elements(0.3, 2), want)
 
 
 class TestRatio2D:
@@ -299,7 +298,7 @@ class TestRatio2D:
         g = lambda r: math.sin(math.pi * r)
         pos = TransversePotential2D.separable(lambda x: 1.0, g, W)
         K = 3
-        Vhat = v_matrix_elements(pos, 0.0, K)
+        Vhat = pos.matrix_elements(0.0, K)
         mode = TransversePotential2D(W, mode_matrix=lambda x, k: Vhat[:k, :k])
         a = ratio_logdet_2d_truncated(pos, L, W, K, tol=1e-8)
         b = ratio_logdet_2d_truncated(mode, L, W, K, tol=1e-8)
