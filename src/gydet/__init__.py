@@ -40,16 +40,12 @@ from .lattice import (
 )
 from .logdet import Diagnostics, LogDet, dense_logdet
 from .gy import (
-    GYState,
-    matrix_gy_states,
     matrix_logdet_aform,
     matrix_logdet_yform,
-    matrix_y_states,
     scalar_logdet,
     scalar_y_solution,
 )
 from .oracles import (
-    GammaValue,
     eigenproduct_logdet_2d,
     gamma_k,
     log_sinh,
@@ -58,15 +54,12 @@ from .oracles import (
 from .asymptotics import (
     CATALAN,
     AsymptoticBreakdown,
-    MassiveCorrectionParams,
     catalan,
-    euler_product_P,
     g_of_m,
     massive_asymptotic_logdet,
     massless_asymptotic_logdet,
     quad_I1,
     quad_I2,
-    s2_massive_correction,
 )
 from .continuum import (
     Potential1D,
@@ -84,12 +77,9 @@ __all__ = [
     "CATALAN",
     "DENSE_CAP",
     "Diagnostics",
-    "GammaValue",
-    "GYState",
     "GydetError",
     "LatticeSpec",
     "LogDet",
-    "MassiveCorrectionParams",
     "NonConvergentRatio",
     "NonConvergentTruncation",
     "NonFiniteRecursion",
@@ -108,22 +98,18 @@ __all__ = [
     "catalan",
     "dense_logdet",
     "eigenproduct_logdet_2d",
-    "euler_product_P",
     "g_of_m",
     "gamma_k",
     "log_sinh",
     "massive_asymptotic_logdet",
     "massless_asymptotic_logdet",
-    "matrix_gy_states",
     "matrix_logdet_aform",
     "matrix_logdet_yform",
-    "matrix_y_states",
     "quad_I1",
     "quad_I2",
     "ratio_logdet_1d",
     "ratio_logdet_1d_riccati",
     "ratio_logdet_2d_truncated",
-    "s2_massive_correction",
     "scalar_logdet",
     "scalar_y_solution",
     "sinh_product_logdet",

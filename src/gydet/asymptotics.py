@@ -6,8 +6,8 @@ Massive case (m > 0):
 
 with I1 the arccosh mode-density integral (no closed form) and
 g(m) = arccosh(1 + m^2/2) + arccosh(3 + m^2/2).  The neglected remainder
-is exponentially small in N and is available separately as a diagnostic
-(s2_massive_correction).
+is exponentially small in N; `gydet asym --with-exact` reports it as the
+discrepancy from the exact sinh product.
 
 Massless case:
 
@@ -25,8 +25,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .oracles import _acosh1p
 from .quadrature import adaptive_quad
@@ -52,13 +50,6 @@ def catalan(n_terms: int = 40) -> float:
     return s / d
 
 
-def catalan_partial_sums(n_terms: int) -> float:
-    """Raw partial sum of the alternating Catalan series with n_terms terms
-    (no acceleration).  Even/odd term counts bracket the limit."""
-    k = np.arange(n_terms)
-    return float(((-1.0) ** k / (2 * k + 1) ** 2).sum())
-
-
 CATALAN = catalan()
 
 
@@ -76,11 +67,6 @@ def euler_product_log(q: float) -> float:
         if abs(term) < 1e-17:
             return total
         qk *= q
-
-
-def euler_product_P(q: float) -> float:
-    """Euler product P(q) = prod_{k>=1} (1 - q^k); relative error <= 1e-15."""
-    return math.exp(euler_product_log(q))
 
 
 def g_of_m(m2: float) -> float:
@@ -137,59 +123,6 @@ def quad_I2(m2: float, *, tol: float = 1e-10) -> float:
 
 
 @dataclass(frozen=True)
-class MassiveCorrectionParams:
-    """Small-k expansion constants of the mode growth factor:
-    c0 = (m^2 + 2 + sqrt(m^2 (m^2+4)))/2 >= 1 (equality only at m = 0),
-    c1 = (pi^2/2)(1 + (m^2+2)/sqrt(m^2 (m^2+4))), finite only for m > 0."""
-
-    c0: float
-    c1: float
-
-    @classmethod
-    def of(cls, m2: float) -> "MassiveCorrectionParams":
-        if m2 <= 0:
-            raise ValueError(f"requires m2 > 0, got {m2}")
-        root = math.sqrt(m2 * (m2 + 4.0))
-        return cls(
-            c0=0.5 * (m2 + 2.0 + root),
-            c1=0.5 * math.pi**2 * (1.0 + (m2 + 2.0) / root),
-        )
-
-
-def s2_massive_correction(m2: float, N: int, M: int) -> float:
-    """Leading approximation of the exponentially small remainder neglected
-    by the massive asymptotic:
-
-        sum_{k>=1} ln(1 - c0^(-2N) exp(-2 c1 N k^2 / (c0 M^2))),
-
-    truncated when the term magnitude drops below 1e-18.  Reported as an
-    opt-in diagnostic addend.  It estimates the order of the remainder
-    and bounds neither it nor its error: at m^2 = 1, N = M = 16 it gives
-    -2.92e-14, while the true remainder (sinh product minus the asymptotic
-    formula, both in 50-digit arithmetic) is -6.05e-14; for N = M from 8
-    to 32 the true remainder is 0.76 to 2.41 times c0^(-2N) in magnitude.
-
-    The exponent carries 2 c1 / c0: c1 is the curvature of the mode growth
-    factor (xi_k = c0 + c1 k^2 / M^2 + ..., checked numerically against
-    the dispersion relation), and raising to the power -2N doubles it.
-    Against direct mode sums the truncation error of this limit is O(1/N).
-    """
-    p = MassiveCorrectionParams.of(m2)
-    log_amp = -2.0 * N * math.log(p.c0)
-    total = 0.0
-    k = 1
-    while True:
-        x = math.exp(log_amp - 2.0 * p.c1 * N * k * k / (p.c0 * M * M))
-        if x >= 1.0:
-            raise ValueError("correction series argument reached 1")
-        term = math.log1p(-x)
-        if abs(term) < 1e-18:
-            return total
-        total += term
-        k += 1
-
-
-@dataclass(frozen=True)
 class AsymptoticBreakdown:
     """Named contributions to an asymptotic log-determinant.
 
@@ -221,11 +154,11 @@ def massive_asymptotic_logdet(m2: float, N: int, M: int) -> AsymptoticBreakdown:
     """Asymptotic ln det(-Delta_2 + m^2) for m > 0 at large N, M.
 
     total = N M I1(m) - (N+M)/2 g(m) + (1/4) ln(m^2 (m^2+4)^2 (m^2+8)).
-    The omitted remainder is exponentially small in min(N, M); see
-    s2_massive_correction.  The expression is symmetric in N and M.
-    N M amplifies the error of I1, so the total is only as accurate as
-    quad_I1 is to about 1 ulp; with that, the total lies within a few
-    ulps of its exact value.
+    The omitted remainder is exponentially small in min(N, M); `gydet asym
+    --with-exact` reports it as the discrepancy.  The expression is
+    symmetric in N and M.  N M amplifies the error of I1, so the total is
+    only as accurate as quad_I1 is to about 1 ulp; with that, the total
+    lies within a few ulps of its exact value.
     """
     if m2 <= 0:
         raise ValueError(f"massive asymptotic requires m2 > 0, got {m2}")

@@ -31,13 +31,6 @@ SINGULAR_EXIT = 2
 VERIFY_EXIT = 3
 
 
-def _format_float(x: float) -> str:
-    # JSON has no inf/nan; absent diagnostics serialize as null
-    if not math.isfinite(x):
-        return "null"
-    return f"{x:.17g}"
-
-
 def _finite_or_none(obj):
     """Copy of obj with every non-finite float replaced by None."""
     if isinstance(obj, float):
@@ -92,7 +85,7 @@ def _default_threads(args) -> int | None:
         try:
             return int(env)
         except ValueError:
-            raise SystemExit(USAGE_EXIT)
+            raise UsageError(f"GYDET_THREADS must be an integer, got {env!r}") from None
     return None
 
 
@@ -257,9 +250,10 @@ def cmd_bench(args) -> int:
 
     if args.dim != 2:
         raise UsageError("bench supports --dim 2 only")
+    if args.repeats < 1:
+        raise UsageError(f"--repeats must be >= 1, got {args.repeats}")
     sizes = args.sizes
     methods = args.methods
-    rows = []
     print("method,N,median_seconds,log_abs_det")
     for method in methods:
         fitted: list[tuple[int, float]] = []
@@ -280,7 +274,8 @@ def cmd_bench(args) -> int:
                 raise UsageError(f"bench method must be gy-a or dense, got {method}")
             med = _timed_median(fn, args.repeats, args.min_time)
             ld = fn()
-            print(f"{method},{n},{_format_float(med)},{_format_float(ld.log_abs)}")
+            # both values are finite floats; repr round-trips them exactly
+            print(f"{method},{n},{med!r},{ld.log_abs!r}")
             fitted.append((n, med))
         if len(fitted) >= 2:
             import numpy as np
@@ -388,14 +383,16 @@ def main(argv=None) -> int:
 
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "bench" and args.threads is None and "GYDET_THREADS" not in os.environ:
-        threads = 1  # stable single-threaded timings by default
-    else:
-        threads = _default_threads(args)
     try:
+        if args.command == "bench" and args.threads is None and "GYDET_THREADS" not in os.environ:
+            threads = 1  # stable single-threaded timings by default
+        else:
+            threads = _default_threads(args)
         with _thread_limit(threads):
             return args.fn(args)
-    except UsageError as exc:
+    except (UsageError, ValueError) as exc:
+        # ValueError is how the library rejects invalid inputs (lattice
+        # extents, dimensions, potential ranges)
         print(f"gydet: error: {exc}", file=sys.stderr)
         return USAGE_EXIT
     except SingularCrossing as exc:

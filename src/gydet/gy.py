@@ -34,7 +34,6 @@ nothing (the free-potential chain stays exact integer arithmetic).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -42,7 +41,7 @@ from scipy.linalg.lapack import dsytrf, dsytrf_lwork, dsytrs
 
 from .errors import NonFiniteRecursion, SingularCrossing
 from .lattice import LatticeSpec, PotentialField, transverse_laplacian
-from .logdet import EPS_PIVOT, Diagnostics, LogDet, SymmetricFactor, decode_bunch_kaufman
+from .logdet import EPS_PIVOT, Diagnostics, LogDet, decode_bunch_kaufman
 
 #: Entry magnitude that triggers a Y-form rescale.
 RESCALE_THRESHOLD = 1e100
@@ -51,21 +50,6 @@ RESCALE_THRESHOLD = 1e100
 _SCALE_HI = 2.0**512
 _SCALE_LO = 2.0**-512
 _LOG_SCALE = 512.0 * math.log(2.0)
-
-
-@dataclass(frozen=True)
-class GYState:
-    """Snapshot of the matrix sweep after processing slice n.
-
-    A is the bounded iterate (the K x K matrix A_n; a scalar a_n when
-    K = 1); acc_log and acc_sign hold the partial product of det(A_k + I)
-    over k <= n in log/sign form.
-    """
-
-    n: int
-    A: np.ndarray
-    acc_log: float
-    acc_sign: int
 
 
 def scalar_y_solution(V: Sequence[float]) -> np.ndarray:
@@ -254,61 +238,6 @@ def _aform_logdet(slices: Iterable[np.ndarray], K: int, n_steps: int) -> LogDet:
     )
 
 
-def matrix_gy_states(spec: LatticeSpec, pot: PotentialField) -> Iterator[GYState]:
-    """Yield the bounded-recursion state slice by slice.
-
-    Reference implementation of the same sweep as matrix_logdet_aform,
-    exposing A_n and the partial log/sign product for diagnostics and for
-    the telescoping cross-checks against the growing form.
-    """
-    if pot.spec != spec:
-        raise ValueError("potential was built for a different lattice")
-    eye = np.eye(spec.K)
-    acc_log = 0.0
-    acc_sign = 1
-    inv = 0.0  # B_{n-1}^{-1}; there is none before the first slice
-    for n, T in enumerate(_slices(spec, pot), start=1):
-        B = T - inv
-        fac = SymmetricFactor(B)
-        if fac.exact_singular or fac.min_pivot < EPS_PIVOT:
-            raise SingularCrossing(n, fac.min_pivot)
-        acc_log += fac.log_abs
-        acc_sign *= fac.sign
-        if not math.isfinite(acc_log):
-            raise NonFiniteRecursion(n)
-        yield GYState(n=n, A=B - eye, acc_log=acc_log, acc_sign=acc_sign)
-        if n < spec.N - 1:
-            inv = fac.solve(eye)
-
-
-def matrix_y_states(
-    spec: LatticeSpec, pot: PotentialField
-) -> Iterator[tuple[int, np.ndarray, float]]:
-    """Yield (n, Y_n_scaled, log_scale) for the growing matrix recursion.
-
-    Y_n_scaled * exp(log_scale) is the true Y_n.  Both members of the
-    propagating pair share each rescale so ratios stay exact.
-    """
-    if pot.spec != spec:
-        raise ValueError("potential was built for a different lattice")
-    K = spec.K
-    Y_prev = np.zeros((K, K))
-    Y = np.eye(K)
-    log_scale = 0.0
-    yield 0, Y_prev, 0.0
-    yield 1, Y, 0.0
-    for n, T in enumerate(_slices(spec, pot), start=1):
-        Y, Y_prev = T @ Y - Y_prev, Y
-        peak = np.abs(Y).max()
-        if not math.isfinite(peak):
-            raise NonFiniteRecursion(n + 1)
-        if peak > RESCALE_THRESHOLD:
-            Y /= peak
-            Y_prev /= peak
-            log_scale += math.log(peak)
-        yield n + 1, Y, log_scale
-
-
 def matrix_logdet_yform(spec: LatticeSpec, pot: PotentialField) -> LogDet:
     """Sign-tracked ln|det(-Delta_d + V)| from the growing matrix solution.
 
@@ -330,17 +259,23 @@ def matrix_logdet_yform(spec: LatticeSpec, pot: PotentialField) -> LogDet:
     from scipy.linalg import lu_factor
 
     K = spec.K
+    Y_prev = np.zeros((K, K))
+    Y = np.eye(K)
+    log_scale = 0.0
     rescales = 0
-    log_scale_prev = 0.0
-    log_scale_total = 0.0
-    Y_final = None
-    for n, Y, log_scale in matrix_y_states(spec, pot):
-        if log_scale != log_scale_prev:
+    for n, T in enumerate(_slices(spec, pot), start=1):
+        Y, Y_prev = T @ Y - Y_prev, Y
+        peak = np.abs(Y).max()
+        if not math.isfinite(peak):
+            raise NonFiniteRecursion(n + 1)
+        if peak > RESCALE_THRESHOLD:
+            # both members of the pair share the scale, so the recursion
+            # continues unchanged on Y * exp(-log_scale)
+            Y /= peak
+            Y_prev /= peak
+            log_scale += math.log(peak)
             rescales += 1
-            log_scale_prev = log_scale
-        Y_final = Y
-        log_scale_total = log_scale
-    lu, piv = lu_factor(Y_final)
+    lu, piv = lu_factor(Y)
     diag = lu.diagonal()
     adiag = np.abs(diag)
     if adiag.min() == 0.0:
@@ -349,7 +284,7 @@ def matrix_logdet_yform(spec: LatticeSpec, pot: PotentialField) -> LogDet:
     n_neg = int(np.count_nonzero(diag < 0.0))
     n_swaps = int(np.count_nonzero(piv != np.arange(K)))
     sign = -1 if (n_neg + n_swaps) % 2 else 1
-    total = log_abs + K * log_scale_total
+    total = log_abs + K * log_scale
     if not math.isfinite(total):
         raise NonFiniteRecursion(spec.N)
     return LogDet(

@@ -21,7 +21,6 @@ small transverse eigenvalue).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,23 +28,14 @@ from .logdet import Diagnostics, LogDet
 from .lattice import transverse_eigenvalues
 
 
-@dataclass(frozen=True)
-class GammaValue:
-    """Decay rate gamma >= 0 of a transverse mode: cosh(gamma) = 1 + (m2 - lam)/2."""
-
-    m2: float
-    lam: float
-    gamma: float
-
-
 def _acosh1p(t: float) -> float:
     """arccosh(1 + t) for t >= 0 without cancellation near t = 0."""
     return math.log1p(t + math.sqrt(t * (t + 2.0)))
 
 
-def gamma_k(m2: float, lam: float, *, gamma_fault: float = 0.0) -> GammaValue:
-    """Mode decay rate from the characteristic condition
-    e^gamma + e^-gamma = m2 + 2 - lam.
+def gamma_k(m2: float, lam: float, *, gamma_fault: float = 0.0) -> float:
+    """Decay rate gamma >= 0 of a transverse mode, from the characteristic
+    condition e^gamma + e^-gamma = m2 + 2 - lam.
 
     Requires m2 >= lam (always true here: lam < 0 <= m2); gamma = 0 only
     when m2 = lam = 0.  gamma_fault is a relative corruption of the result
@@ -58,7 +48,7 @@ def gamma_k(m2: float, lam: float, *, gamma_fault: float = 0.0) -> GammaValue:
     gamma = _acosh1p(t)
     if gamma_fault:
         gamma *= 1.0 + gamma_fault
-    return GammaValue(m2=float(m2), lam=float(lam), gamma=gamma)
+    return gamma
 
 
 def log_sinh(x: float) -> float:
@@ -85,7 +75,7 @@ def sinh_product_logdet(
         raise ValueError("N and M must be >= 2")
     terms = []
     for lam in transverse_eigenvalues(M):
-        g = gamma_k(m2, lam, gamma_fault=gamma_fault).gamma
+        g = gamma_k(m2, lam, gamma_fault=gamma_fault)
         terms.append(log_sinh(g * N) - log_sinh(g))
     return LogDet(
         log_abs=math.fsum(terms),

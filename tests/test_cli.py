@@ -120,6 +120,25 @@ class TestDet:
         assert code == 2
         assert "singular" in err.lower()
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("det", "--size-n", "1"), "N must be >= 2, got 1"),
+            (("det", "--dim", "0", "--size-n", "4"), "d must be >= 1, got 0"),
+            (
+                ("det", "--size-n", "4", "--random-seed", "1", "--random-range", "1", "-1"),
+                "empty interval [1.0, -1.0)",
+            ),
+            (("asym", "--mass2", "1", "--size-n", "1", "--size-m", "4"), "N and M must be >= 2"),
+        ],
+        ids=["det-size-n", "det-dim", "det-random-range", "asym-size-n"],
+    )
+    def test_invalid_input_is_usage_error(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err == f"gydet: error: {message}\n"
+
     def test_argparse_usage_exit_is_one(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["det", "--dim", "2"])  # missing --size-n
@@ -194,6 +213,15 @@ class TestBench:
         vals = [float(r.split(",")[3]) for r in rows]
         assert abs(vals[0] - vals[1]) < 1e-9 * max(1.0, abs(vals[0]))
 
+    def test_rejects_zero_repeats(self, capsys):
+        code, out, err = run_cli(
+            capsys, "bench", "--sizes", "4", "--methods", "gy-a", "--repeats", "0",
+        )
+        assert code == 1
+        assert out == ""
+        # bench caps BLAS at one thread first, which may add a note above
+        assert err.splitlines()[-1] == "gydet: error: --repeats must be >= 1, got 0"
+
     def test_rejects_other_dims(self, capsys):
         code, _, err = run_cli(
             capsys, "bench", "--dim", "3", "--sizes", "4", "--methods", "gy-a",
@@ -213,6 +241,13 @@ class TestThreads:
         monkeypatch.setenv("GYDET_THREADS", "1")
         code, out, _ = run_cli(capsys, "det", "--dim", "1", "--size-n", "5")
         assert code == 0
+
+    def test_env_not_an_integer(self, capsys, monkeypatch):
+        monkeypatch.setenv("GYDET_THREADS", "abc")
+        code, out, err = run_cli(capsys, "det", "--dim", "1", "--size-n", "5")
+        assert code == 1
+        assert out == ""
+        assert err == "gydet: error: GYDET_THREADS must be an integer, got 'abc'\n"
 
     def test_unapplied_cap_says_so(self, capsys, monkeypatch):
         monkeypatch.setitem(sys.modules, "threadpoolctl", None)

@@ -6,10 +6,8 @@ import pytest
 
 from gydet.errors import SingularCrossing
 from gydet.gy import (
-    matrix_gy_states,
     matrix_logdet_aform,
     matrix_logdet_yform,
-    matrix_y_states,
     scalar_logdet,
     scalar_y_solution,
 )
@@ -209,42 +207,24 @@ class TestMatrixForms:
 
 class TestStateIterators:
     def test_partial_products_match_y_determinants(self):
-        # accumulator after n slices equals log|det Y_{n+1}| (rescale-aware)
-        spec = LatticeSpec(d=2, N=7, M=5)
-        pot = PotentialField.random_uniform(spec, seed=3)
-        ys = {n: (Y, ls) for n, Y, ls in matrix_y_states(spec, pot)}
-        for st in matrix_gy_states(spec, pot):
-            Y, ls = ys[st.n + 1]
-            sgn, la = np.linalg.slogdet(Y)
-            want = la + spec.K * ls
-            assert abs(st.acc_log - want) < 1e-9 * max(1.0, abs(want))
-            assert st.acc_sign == int(sgn)
-
-    def test_telescoping_identity(self):
-        # A_n + I = Y_{n+1} Y_n^{-1} wherever Y_n is well conditioned
-        spec = LatticeSpec(d=2, N=6, M=5)
-        pot = PotentialField.random_uniform(spec, seed=8)
-        ys = {n: (Y, ls) for n, Y, ls in matrix_y_states(spec, pot)}
-        eye = np.eye(spec.K)
-        checked = 0
-        for st in matrix_gy_states(spec, pot):
-            Y0, ls0 = ys[st.n]
-            Y1, ls1 = ys[st.n + 1]
-            if st.n < 1 or np.linalg.cond(Y0) > 1e10:
-                continue
-            ratio = Y1 @ np.linalg.inv(Y0) * math.exp(ls1 - ls0)
-            assert np.abs(st.A + eye - ratio).max() < 1e-8
-            checked += 1
-        assert checked >= 3
-
-    def test_bounded_iterates_positive_definite_for_nonnegative_v(self):
-        # with V >= 0 every A_n + I stays positive definite
-        spec = LatticeSpec(d=2, N=8, M=6)
-        pot = PotentialField.random_uniform(spec, seed=0, lo=0.0, hi=2.0)
-        eye = np.eye(spec.K)
-        for st in matrix_gy_states(spec, pot):
-            assert np.linalg.eigvalsh(st.A + eye).min() > 0.0
-            assert st.acc_sign == 1
+        # the A-form after n slices is ln|det| of the lattice cut to its
+        # first n slices, which the growing form reads as det Y_{n+1};
+        # with V >= 0 every prefix operator is positive definite, sign +1
+        cases = (
+            (LatticeSpec(d=2, N=7, M=5), 3, -1.0, 1.0),
+            (LatticeSpec(d=2, N=8, M=6), 0, 0.0, 2.0),
+        )
+        for spec, seed, lo, hi in cases:
+            pot = PotentialField.random_uniform(spec, seed=seed, lo=lo, hi=hi)
+            for n in range(1, spec.N - 1):
+                sub = LatticeSpec(d=2, N=n + 1, M=spec.M)
+                sub_pot = PotentialField(sub, pot.values[:n], pot.provenance)
+                d = dense_logdet(build_interior_hamiltonian(sub, sub_pot))
+                for ld in (matrix_logdet_aform(sub, sub_pot), matrix_logdet_yform(sub, sub_pot)):
+                    assert abs(ld.log_abs - d.log_abs) < 1e-9 * max(1.0, abs(d.log_abs))
+                    assert ld.sign == d.sign
+                if lo >= 0.0:
+                    assert d.sign == 1
 
     def test_yform_rescales_and_survives(self):
         # heavy mass keeps the mode growth-rate spread small (inside the

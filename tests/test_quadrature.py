@@ -86,3 +86,10 @@ def test_import_leaves_scipy_integrate_unloaded():
         "sys.exit('scipy.integrate' in sys.modules)"
     )
     subprocess.run([sys.executable, "-c", code], check=True, timeout=60)
+
+
+def test_every_export_resolves_once():
+    # a deleted function must leave no dangling name in the public list
+    assert len(gydet.__all__) == len(set(gydet.__all__))
+    missing = [name for name in gydet.__all__ if not hasattr(gydet, name)]
+    assert missing == []
