@@ -31,22 +31,28 @@ from .quadrature import adaptive_quad
 
 _LOG2 = math.log(2.0)
 _LN_SILVER = math.log(1.0 + math.sqrt(2.0))  # ln(1 + sqrt 2)
+# Terms of the accelerated Catalan series; its error decays like
+# (3 + sqrt 8)^-n, so 40 terms is far past double precision.
+_CATALAN_TERMS = 40
+# Absolute tolerances of the quad_I1 and quad_I2 integrals.
+_I1_TOL = 1e-12
+_I2_TOL = 1e-10
 
 
-def catalan(n_terms: int = 40) -> float:
+def catalan() -> float:
     """Catalan constant from the alternating series sum (-1)^k / (2k+1)^2,
-    convergence-accelerated (Chebyshev-weighted partial sums; error decays
-    like (3 + sqrt 8)^-n, so the default 40 terms is far past double
-    precision)."""
-    d = (3.0 + math.sqrt(8.0)) ** n_terms
+    convergence-accelerated (Chebyshev-weighted partial sums of
+    _CATALAN_TERMS terms)."""
+    n = _CATALAN_TERMS
+    d = (3.0 + math.sqrt(8.0)) ** n
     d = 0.5 * (d + 1.0 / d)
     b = -1.0
     c = -d
     s = 0.0
-    for k in range(n_terms):
+    for k in range(n):
         c = b - c
         s += c / (2 * k + 1) ** 2
-        b = (k + n_terms) * (k - n_terms) * b / ((k + 0.5) * (k + 1.0))
+        b = (k + n) * (k - n) * b / ((k + 0.5) * (k + 1.0))
     return s / d
 
 
@@ -76,16 +82,16 @@ def g_of_m(m2: float) -> float:
     return _acosh1p(m2 / 2.0) + _acosh1p(2.0 + m2 / 2.0)
 
 
-def quad_I1(m2: float, *, tol: float = 1e-12) -> float:
+def quad_I1(m2: float) -> float:
     """Area density of the massive log-determinant:
 
         I1(m) = (1/pi) * integral_0^pi arccosh(1 + (m^2 + 2(1-cos x))/2) dx.
 
     No closed form; evaluated by adaptive quadrature to absolute tolerance
-    tol.  At m = 0 this equals 4G/pi.  The result must be accurate to
-    about 1 ulp, not merely to tol: the area term N M I1 of
+    _I1_TOL.  At m = 0 this equals 4G/pi.  The result must be accurate to
+    about 1 ulp, not merely to _I1_TOL: the area term N M I1 of
     massive_asymptotic_logdet multiplies its error by N M, so a bias of a
-    few ulps here becomes as many ulps of ln det.  At the default tol the
+    few ulps here becomes as many ulps of ln det.  At this tolerance the
     result is within 0.4 ulp of 40-digit quadrature for m^2 in
     {0, 0.25, 1, 4}, and at most 1.71 ulps off over 37 values of m^2 in
     [0, 9].
@@ -98,10 +104,10 @@ def quad_I1(m2: float, *, tol: float = 1e-12) -> float:
         t = (m2 + 4.0 * math.sin(0.5 * x) ** 2) / 2.0
         return _acosh1p(t)
 
-    return adaptive_quad(f, 0.0, math.pi, tol=tol * math.pi) / math.pi
+    return adaptive_quad(f, 0.0, math.pi, tol=_I1_TOL * math.pi) / math.pi
 
 
-def quad_I2(m2: float, *, tol: float = 1e-10) -> float:
+def quad_I2(m2: float) -> float:
     """Boundary-density integral of the massive expansion:
 
         I2(m) = -(1/(2 pi)) * integral_0^pi
@@ -119,7 +125,7 @@ def quad_I2(m2: float, *, tol: float = 1e-10) -> float:
         c = math.cos(x)
         return math.log(m2 * m2 + 8.0 * m2 + 14.0 - 4.0 * (m2 + 4.0) * c + 2.0 * math.cos(2.0 * x))
 
-    return -adaptive_quad(f, 0.0, math.pi, tol=tol * math.pi) / (2.0 * math.pi)
+    return -adaptive_quad(f, 0.0, math.pi, tol=_I2_TOL * math.pi) / (2.0 * math.pi)
 
 
 @dataclass(frozen=True)

@@ -11,9 +11,10 @@ Data goes to stdout, logs to stderr.  Exit codes: 0 success, 1 usage
 error, 2 singular crossing, 3 failed verification.  JSON floats are
 printed as the shortest string that round-trips exactly; inf and nan,
 which JSON lacks, are printed as null.
-The BLAS thread cap comes from --threads or GYDET_THREADS (benchmarks
-default to 1) and needs threadpoolctl; without it a note on stderr says
-the cap was not applied.
+The BLAS thread cap comes from --threads or GYDET_THREADS; bench
+defaults to one thread.  Capping needs threadpoolctl: without it a cap
+from --threads or GYDET_THREADS is not applied and a note on stderr says
+so, and bench's default runs uncapped without a note.
 """
 
 from __future__ import annotations
@@ -61,7 +62,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 @contextmanager
-def _thread_limit(n: int | None):
+def _thread_limit(n: int | None, note: bool):
+    """Cap BLAS at n threads (None: no cap); without threadpoolctl the cap
+    is skipped, with a note on stderr if note is set."""
     if n is None:
         yield
         return
@@ -70,7 +73,8 @@ def _thread_limit(n: int | None):
     except ImportError:
         # BLAS is loaded by now, so setting its environment variables
         # would change nothing
-        print(f"--threads {n} not applied: threadpoolctl is not installed", file=sys.stderr)
+        if note:
+            print(f"--threads {n} not applied: threadpoolctl is not installed", file=sys.stderr)
         yield
         return
     with threadpool_limits(limits=n):
@@ -252,15 +256,20 @@ def cmd_bench(args) -> int:
         raise UsageError("bench supports --dim 2 only")
     if args.repeats < 1:
         raise UsageError(f"--repeats must be >= 1, got {args.repeats}")
-    sizes = args.sizes
-    methods = args.methods
+    unknown = [m for m in args.methods if m not in ("gy-a", "dense")]
+    if unknown:
+        raise UsageError(f"bench methods must be gy-a or dense, got {', '.join(unknown)}")
+    # every input is built before the header, so a bad one prints nothing
+    lo, hi = args.random_range
+    problems = []
+    for n in args.sizes:
+        spec = LatticeSpec(d=2, N=n, M=n)
+        pot = PotentialField.random_uniform(spec, seed=args.random_seed, lo=lo, hi=hi)
+        problems.append((n, spec, pot))
     print("method,N,median_seconds,log_abs_det")
-    for method in methods:
+    for method in args.methods:
         fitted: list[tuple[int, float]] = []
-        for n in sizes:
-            spec = LatticeSpec(d=2, N=n, M=n)
-            lo, hi = args.random_range
-            pot = PotentialField.random_uniform(spec, seed=args.random_seed, lo=lo, hi=hi)
+        for n, spec, pot in problems:
             if method == "dense":
                 try:
                     H = build_interior_hamiltonian(spec, pot, cap=args.dense_cap)
@@ -268,10 +277,8 @@ def cmd_bench(args) -> int:
                     print(f"dense,{n},skipped,skipped")
                     continue
                 fn = lambda: dense_logdet(H)
-            elif method == "gy-a":
-                fn = lambda: gy.matrix_logdet_aform(spec, pot)
             else:
-                raise UsageError(f"bench method must be gy-a or dense, got {method}")
+                fn = lambda: gy.matrix_logdet_aform(spec, pot)
             med = _timed_median(fn, args.repeats, args.min_time)
             ld = fn()
             # both values are finite floats; repr round-trips them exactly
@@ -294,9 +301,7 @@ def cmd_bench(args) -> int:
 def cmd_verify(args) -> int:
     from .verify import run_suite
 
-    results = run_suite(
-        quick=args.quick, out=sys.stdout, gamma_fault=args.corrupt_gamma
-    )
+    results = run_suite(quick=args.quick, out=sys.stdout)
     failures = [name for name, failure in results if failure is not None]
     if failures:
         print(f"FAILED: {', '.join(failures)}", file=sys.stderr)
@@ -367,13 +372,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="cross-method verification suite")
     p.add_argument("--quick", action="store_true", help="small-lattice subset")
-    p.add_argument(
-        "--corrupt-gamma",
-        type=float,
-        default=0.0,
-        metavar="EPS",
-        help="fault-injection test hook: perturb every gamma_k by a relative EPS",
-    )
     p.set_defaults(fn=cmd_verify)
     return top
 
@@ -384,11 +382,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "bench" and args.threads is None and "GYDET_THREADS" not in os.environ:
+        threads = _default_threads(args)
+        requested = threads is not None
+        if not requested and args.command == "bench":
             threads = 1  # stable single-threaded timings by default
-        else:
-            threads = _default_threads(args)
-        with _thread_limit(threads):
+        with _thread_limit(threads, note=requested):
             return args.fn(args)
     except (UsageError, ValueError) as exc:
         # ValueError is how the library rejects invalid inputs (lattice

@@ -99,6 +99,8 @@ class PotentialField:
         """Uniform values on [lo, hi) from an explicit 64-bit seed."""
         if not lo < hi:
             raise ValueError(f"empty interval [{lo}, {hi})")
+        if not 0 <= seed < 2**64:
+            raise ValueError(f"seed must be in [0, 2**64), got {seed}")
         rng = np.random.default_rng(np.uint64(seed))
         vals = rng.uniform(lo, hi, size=(spec.N - 1, spec.K))
         return cls(spec, vals, ("seeded-random", int(seed), float(lo), float(hi)))

@@ -36,8 +36,8 @@ class Diagnostics:
 class LogDet:
     """ln|det| plus sign, method tag, and diagnostics.
 
-    method is one of: scalar-a, scalar-y, matrix-A, matrix-Y, dense-LU,
-    eigen-product, sinh-product, asymptotic.
+    method is one of: scalar-a, matrix-A, matrix-Y, dense-LU,
+    eigen-product, sinh-product.
     """
 
     log_abs: float
@@ -152,26 +152,18 @@ class SymmetricFactor:
         return x
 
 
-def dense_logdet(H: np.ndarray, *, cap: int | None = None) -> LogDet:
+def dense_logdet(H: np.ndarray) -> LogDet:
     """Log-determinant of a dense symmetric matrix by pivoted factorization.
 
     Independent of every recursion route: one Bunch-Kaufman sweep over the
     full matrix, log_abs summed over pivot blocks, sign from their product.
-    Raises SingularMatrix on an exact zero pivot and SizeCapExceeded when
-    the matrix is larger than the (optional) cap.
+    Raises SingularMatrix on an exact zero pivot.
     """
     H = np.asarray(H, dtype=float)
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {H.shape}")
     if not np.isfinite(H).all():
         raise ValueError("matrix contains non-finite entries")
-    if cap is not None and H.shape[0] > cap:
-        from .errors import SizeCapExceeded
-
-        raise SizeCapExceeded(
-            f"{H.shape[0]} rows exceed the dense cap of {cap}; "
-            "use the recursion route instead"
-        )
     fac = SymmetricFactor(H)
     if fac.exact_singular or not math.isfinite(fac.log_abs):
         raise SingularMatrix("exact zero pivot: determinant is zero")

@@ -33,22 +33,17 @@ def _acosh1p(t: float) -> float:
     return math.log1p(t + math.sqrt(t * (t + 2.0)))
 
 
-def gamma_k(m2: float, lam: float, *, gamma_fault: float = 0.0) -> float:
+def gamma_k(m2: float, lam: float) -> float:
     """Decay rate gamma >= 0 of a transverse mode, from the characteristic
     condition e^gamma + e^-gamma = m2 + 2 - lam.
 
     Requires m2 >= lam (always true here: lam < 0 <= m2); gamma = 0 only
-    when m2 = lam = 0.  gamma_fault is a relative corruption of the result
-    for fault-injection runs, which show that the cross-method checks catch
-    a wrong dispersion relation; it is 0 everywhere else.
+    when m2 = lam = 0.
     """
     t = (m2 - lam) / 2.0
     if t < 0.0:
         raise ValueError(f"arccosh argument below 1: m2={m2}, lambda={lam}")
-    gamma = _acosh1p(t)
-    if gamma_fault:
-        gamma *= 1.0 + gamma_fault
-    return gamma
+    return _acosh1p(t)
 
 
 def log_sinh(x: float) -> float:
@@ -58,16 +53,14 @@ def log_sinh(x: float) -> float:
     return x + math.log(-math.expm1(-2.0 * x)) - math.log(2.0)
 
 
-def sinh_product_logdet(
-    m2: float, N: int, M: int, *, gamma_fault: float = 0.0
-) -> LogDet:
+def sinh_product_logdet(m2: float, N: int, M: int) -> LogDet:
     """ln det(-Delta_2 + m^2) as the transverse-mode product of sinh ratios.
 
     Every gamma_k is strictly positive for k >= 1 (lambda_k < 0), so no
     singular term arises even at m = 0; the sign is always +.  The M-1
     positive terms are summed exactly (math.fsum) and rounded once, so the
     error of the total is bounded by the errors of the terms and does not
-    grow with the number of additions.  gamma_fault is passed to gamma_k.
+    grow with the number of additions.
     """
     if m2 < 0:
         raise ValueError(f"m2 must be >= 0, got {m2}")
@@ -75,7 +68,7 @@ def sinh_product_logdet(
         raise ValueError("N and M must be >= 2")
     terms = []
     for lam in transverse_eigenvalues(M):
-        g = gamma_k(m2, lam, gamma_fault=gamma_fault)
+        g = gamma_k(m2, lam)
         terms.append(log_sinh(g * N) - log_sinh(g))
     return LogDet(
         log_abs=math.fsum(terms),
@@ -97,13 +90,7 @@ def eigenproduct_logdet_2d(m2: float, N: int, M: int) -> LogDet:
         raise ValueError(f"m2 must be >= 0, got {m2}")
     if N < 2 or M < 2:
         raise ValueError("N and M must be >= 2")
-    j = np.arange(1, N)
-    k = np.arange(1, M)
-    eigs = (
-        m2
-        + 2.0 * (1.0 - np.cos(np.pi * j / N))[:, None]
-        + 2.0 * (1.0 - np.cos(np.pi * k / M))[None, :]
-    )
+    eigs = m2 - transverse_eigenvalues(N)[:, None] - transverse_eigenvalues(M)[None, :]
     return LogDet(
         log_abs=float(np.log(eigs).sum()),
         sign=1,

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+import gydet.oracles
 from gydet import verify
 from gydet.cli import json_17g, main
 
@@ -130,8 +131,9 @@ class TestDet:
                 "empty interval [1.0, -1.0)",
             ),
             (("asym", "--mass2", "1", "--size-n", "1", "--size-m", "4"), "N and M must be >= 2"),
+            (("det", "--size-n", "4", "--random-seed", "-1"), "seed must be in [0, 2**64), got -1"),
         ],
-        ids=["det-size-n", "det-dim", "det-random-range", "asym-size-n"],
+        ids=["det-size-n", "det-dim", "det-random-range", "asym-size-n", "det-random-seed"],
     )
     def test_invalid_input_is_usage_error(self, capsys, argv, message):
         code, out, err = run_cli(capsys, *argv)
@@ -213,14 +215,30 @@ class TestBench:
         vals = [float(r.split(",")[3]) for r in rows]
         assert abs(vals[0] - vals[1]) < 1e-9 * max(1.0, abs(vals[0]))
 
-    def test_rejects_zero_repeats(self, capsys):
+    def test_rejects_zero_repeats(self, capsys, monkeypatch):
+        monkeypatch.delenv("GYDET_THREADS", raising=False)
         code, out, err = run_cli(
             capsys, "bench", "--sizes", "4", "--methods", "gy-a", "--repeats", "0",
         )
         assert code == 1
         assert out == ""
-        # bench caps BLAS at one thread first, which may add a note above
-        assert err.splitlines()[-1] == "gydet: error: --repeats must be >= 1, got 0"
+        # bench's default one-thread cap adds no note, applied or not
+        assert err == "gydet: error: --repeats must be >= 1, got 0\n"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("--methods", "gy-a,gy-y"), "bench methods must be gy-a or dense, got gy-y"),
+            (("--random-seed", str(2**64)), f"seed must be in [0, 2**64), got {2**64}"),
+        ],
+        ids=["method", "seed"],
+    )
+    def test_rejected_before_output(self, capsys, monkeypatch, argv, message):
+        monkeypatch.delenv("GYDET_THREADS", raising=False)
+        code, out, err = run_cli(capsys, "bench", "--sizes", "4", *argv)
+        assert code == 1
+        assert out == ""
+        assert err == f"gydet: error: {message}\n"
 
     def test_rejects_other_dims(self, capsys):
         code, _, err = run_cli(
@@ -257,6 +275,16 @@ class TestThreads:
         assert code == 0
         assert "--threads 3 not applied: threadpoolctl is not installed" in err
 
+    def test_bench_default_cap_has_no_note(self, capsys, monkeypatch):
+        monkeypatch.setitem(sys.modules, "threadpoolctl", None)
+        monkeypatch.delenv("GYDET_THREADS", raising=False)
+        code, _, err = run_cli(
+            capsys, "bench", "--sizes", "4,6", "--methods", "gy-a",
+            "--repeats", "1", "--min-time", "0.005",
+        )
+        assert code == 0
+        assert "--threads" not in err
+
 
 class TestVerify:
     @pytest.mark.parametrize("check", [fn for _, fn in verify.CHECKS],
@@ -270,10 +298,19 @@ class TestVerify:
         assert out.count("PASS") >= 12
         assert "FAIL" not in out
 
-    def test_corrupted_gamma_caught(self, capsys):
-        code, out, err = run_cli(capsys, "verify", "--quick", "--corrupt-gamma", "1e-3")
+    def test_corrupted_gamma_caught(self, capsys, monkeypatch):
+        # a dispersion relation off by 1e-3 relative must fail exactly the
+        # checks that evaluate the sinh product
+        gamma_k = gydet.oracles.gamma_k
+        monkeypatch.setattr(
+            gydet.oracles, "gamma_k", lambda m2, lam: gamma_k(m2, lam) * (1.0 + 1e-3)
+        )
+        code, _, err = run_cli(capsys, "verify", "--quick")
         assert code == 3
-        assert "sinh-product" in err
-        # the fault hook must be reset afterwards
-        code2, _, _ = run_cli(capsys, "verify", "--quick")
-        assert code2 == 0
+        assert err == (
+            "FAILED: four-way-agreement, sinh-product-vs-eigenproduct, "
+            "sinh-product-anchors\n"
+        )
+        monkeypatch.undo()
+        code, _, _ = run_cli(capsys, "verify", "--quick")
+        assert code == 0

@@ -53,6 +53,13 @@ class TestPotentialField:
         assert (a.values == b.values).all()
         assert (a.values >= -1).all() and (a.values < 1).all()
 
+    def test_seed_range(self):
+        spec = LatticeSpec(d=1, N=3)
+        PotentialField.random_uniform(spec, seed=2**64 - 1)
+        for seed in (-1, 2**64):
+            with pytest.raises(ValueError, match=r"seed must be in \[0, 2\*\*64\)"):
+                PotentialField.random_uniform(spec, seed=seed)
+
     def test_rejects_nonfinite(self):
         spec = LatticeSpec(d=1, N=3)
         with pytest.raises(ValueError):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from gydet.errors import SingularMatrix, SizeCapExceeded
+from gydet.errors import SingularMatrix
 from gydet.logdet import LogDet, SymmetricFactor, decode_bunch_kaufman, dense_logdet
 
 
@@ -117,10 +117,6 @@ class TestDenseLogdet:
     def test_singular_raises(self):
         with pytest.raises(SingularMatrix):
             dense_logdet(np.zeros((2, 2)))
-
-    def test_cap(self):
-        with pytest.raises(SizeCapExceeded):
-            dense_logdet(np.eye(11), cap=10)
 
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
