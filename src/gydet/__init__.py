@@ -32,7 +32,6 @@ from .lattice import (
     DENSE_CAP,
     LatticeSpec,
     PotentialField,
-    apply_hamiltonian,
     build_interior_hamiltonian,
     transverse_eigenvalues,
     transverse_laplacian,
@@ -93,7 +92,6 @@ __all__ = [
     "SingularMatrix",
     "SizeCapExceeded",
     "TransversePotential2D",
-    "apply_hamiltonian",
     "build_interior_hamiltonian",
     "catalan",
     "dense_logdet",

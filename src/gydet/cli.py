@@ -11,10 +11,10 @@ Data goes to stdout, logs to stderr.  Exit codes: 0 success, 1 usage
 error, 2 singular crossing, 3 failed verification.  JSON floats are
 printed as the shortest string that round-trips exactly; inf and nan,
 which JSON lacks, are printed as null.
-The BLAS thread cap comes from --threads or GYDET_THREADS; bench
-defaults to one thread.  Capping needs threadpoolctl: without it a cap
-from --threads or GYDET_THREADS is not applied and a note on stderr says
-so, and bench's default runs uncapped without a note.
+The BLAS thread cap comes from --threads or GYDET_THREADS and must be at
+least 1; bench defaults to one thread.  Capping needs threadpoolctl:
+without it a cap from --threads or GYDET_THREADS is not applied and a
+note on stderr says so, and bench's default runs uncapped without a note.
 """
 
 from __future__ import annotations
@@ -82,15 +82,25 @@ def _thread_limit(n: int | None, note: bool):
 
 
 def _default_threads(args) -> int | None:
+    """The BLAS thread cap from --threads or GYDET_THREADS (None: none given).
+
+    A cap below 1 is a usage error, checked here so that it is one with or
+    without threadpoolctl.
+    """
     if getattr(args, "threads", None) is not None:
-        return args.threads
-    env = os.environ.get("GYDET_THREADS")
-    if env:
+        n, source = args.threads, "--threads"
+    else:
+        env = os.environ.get("GYDET_THREADS")
+        if not env:
+            return None
         try:
-            return int(env)
+            n = int(env)
         except ValueError:
             raise UsageError(f"GYDET_THREADS must be an integer, got {env!r}") from None
-    return None
+        source = "GYDET_THREADS"
+    if n < 1:
+        raise UsageError(f"{source} must be >= 1, got {n}")
+    return n
 
 
 def _build_problem(args):
@@ -284,7 +294,7 @@ def cmd_bench(args) -> int:
             # both values are finite floats; repr round-trips them exactly
             print(f"{method},{n},{med!r},{ld.log_abs!r}")
             fitted.append((n, med))
-        if len(fitted) >= 2:
+        if len({n for n, _ in fitted}) >= 2:
             import numpy as np
 
             x = np.log([n for n, _ in fitted])
@@ -294,7 +304,7 @@ def cmd_bench(args) -> int:
             ns = ",".join(str(n) for n, _ in fitted)
             print(f"# slope {method} {slope:.3f} (log-log fit over N={ns})")
         else:
-            print(f"# slope {method} nan (fewer than two timed sizes)")
+            print(f"# slope {method} nan (fewer than two distinct timed sizes)")
     return 0
 
 

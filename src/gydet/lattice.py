@@ -8,6 +8,10 @@ major over transverse directions, last index quickest) and the
 longitudinal index slowest, which makes the block-tridiagonal structure
 explicit: diagonal blocks 2I - Delta_{d-1} + V_i, off-diagonal blocks -I.
 
+The stencil is written once, in `_laplacian`, as a scipy.sparse Kronecker
+sum of one-dimensional second differences; the transverse block, the
+slices and the dense operator are all taken from it.
+
 Everything here is immutable after construction and safe to share between
 threads.
 """
@@ -170,6 +174,25 @@ def transverse_eigenvalues(M: int) -> np.ndarray:
     return -2.0 * (1.0 - np.cos(np.pi * k / M))
 
 
+def _laplacian(shape: tuple[int, ...]):
+    """Sparse Dirichlet -Delta on a box with the given interior extents.
+
+    The Kronecker sum of one-dimensional second-difference matrices
+    tridiag(-1, 2, -1), first axis slowest (lattice order); for no axes it
+    is the 1x1 zero matrix.  This is the one place the stencil is written:
+    the transverse block, the slices and the dense operator are all cut
+    from it.  scipy.sparse is imported here, not with the module, to keep
+    it out of `import gydet`.
+    """
+    from scipy import sparse
+
+    L = sparse.csr_array((1, 1))
+    for m in shape:
+        T = sparse.diags_array([-1.0, 2.0, -1.0], offsets=[-1, 0, 1], shape=(m, m))
+        L = sparse.kronsum(T, L, format="csr")
+    return L
+
+
 @lru_cache(maxsize=32)
 def _transverse_laplacian_cached(d: int, M: int) -> np.ndarray:
     K = (M - 1) ** (d - 1)
@@ -177,18 +200,7 @@ def _transverse_laplacian_cached(d: int, M: int) -> np.ndarray:
         raise SizeCapExceeded(
             f"transverse block K={K} too large for a dense K x K matrix"
         )
-    if d == 1:
-        L = np.zeros((1, 1))
-    else:
-        m = M - 1
-        T = 2.0 * np.eye(m)
-        i = np.arange(m - 1)
-        T[i, i + 1] = -1.0
-        T[i + 1, i] = -1.0
-        L = T
-        for _ in range(d - 2):
-            n = L.shape[0]
-            L = np.kron(L, np.eye(m)) + np.kron(np.eye(n), T)
+    L = _laplacian((M - 1,) * (d - 1)).toarray()
     L.setflags(write=False)
     return L
 
@@ -196,18 +208,12 @@ def _transverse_laplacian_cached(d: int, M: int) -> np.ndarray:
 def transverse_laplacian(spec: LatticeSpec) -> np.ndarray:
     """Dense K x K matrix of -Delta_{d-1} on the transverse block.
 
-    Built by Kronecker sum of the one-dimensional second-difference matrix;
-    for d = 1 the transverse block is zero-dimensional and this is the 1x1
-    zero matrix.  The returned array is read-only (instances are cached);
-    copy before mutating.
+    The dense form of the sparse stencil `_laplacian` on the transverse
+    shape; for d = 1 the transverse block is zero-dimensional and this is
+    the 1x1 zero matrix.  The returned array is read-only (instances are
+    cached); copy before mutating.
     """
     return _transverse_laplacian_cached(spec.d, spec.M)
-
-
-def _diag_coefficients(spec: LatticeSpec, pot: PotentialField) -> np.ndarray:
-    # Shared by the matrix builder and the matrix-free apply so both produce
-    # bit-identical diagonal sums (2 + 2(d-1) is exact in floats).
-    return (2 + 2 * (spec.d - 1)) + pot.values
 
 
 def build_interior_hamiltonian(
@@ -216,8 +222,9 @@ def build_interior_hamiltonian(
     """Dense (N-1)K x (N-1)K matrix of -Delta_d + V on interior sites.
 
     Block tridiagonal: diagonal blocks 2I - Delta_{d-1} + V_i, off-diagonal
-    blocks -I.  Refused above the row cap; large problems belong on the
-    recursion route.
+    blocks -I.  It is the sparse stencil `_laplacian` on the whole interior
+    box, made dense, with V added to its diagonal.  Refused above the row
+    cap; large problems belong on the recursion route.
     """
     if pot.spec != spec:
         raise ValueError("potential was built for a different lattice")
@@ -227,20 +234,8 @@ def build_interior_hamiltonian(
             f"dense operator would have {n} rows (cap {cap}); "
             "use the recursion route for problems this size"
         )
-    K = spec.K
-    L = transverse_laplacian(spec)
-    offdiag_L = L.copy()
-    np.fill_diagonal(offdiag_L, 0.0)
-    diag_coef = _diag_coefficients(spec, pot)
-    H = np.zeros((n, n))
-    for i in range(spec.N - 1):
-        blk = slice(i * K, (i + 1) * K)
-        H[blk, blk] = offdiag_L
-        np.fill_diagonal(H[blk, blk], diag_coef[i])
-        if i > 0:
-            prev = slice((i - 1) * K, i * K)
-            H[blk, prev] -= np.eye(K)
-            H[prev, blk] -= np.eye(K)
+    H = _laplacian((spec.N - 1,) + spec.transverse_shape()).toarray()
+    H.flat[:: n + 1] += pot.values.ravel()
     return H
 
 
@@ -252,28 +247,3 @@ def transverse_slice(spec: LatticeSpec, pot: PotentialField, i: int) -> np.ndarr
     S = transverse_laplacian(spec).copy()
     S.flat[:: spec.K + 1] += pot.values[i - 1]
     return S
-
-
-def apply_hamiltonian(
-    spec: LatticeSpec, pot: PotentialField, psi: np.ndarray
-) -> np.ndarray:
-    """Matrix-free application of -Delta_d + V with implicit zero boundaries.
-
-    Identical stencil arithmetic to build_interior_hamiltonian: the result
-    on unit vectors matches the dense matrix columns exactly.
-    """
-    psi = np.asarray(psi, dtype=float)
-    n = spec.n_interior
-    if psi.shape != (n,):
-        raise ValueError(f"psi has length {psi.shape}, expected ({n},)")
-    shape = (spec.N - 1,) + spec.transverse_shape()
-    grid = psi.reshape(shape)
-    out = _diag_coefficients(spec, pot).reshape(shape) * grid
-    for axis in range(spec.d):
-        lower = [slice(None)] * spec.d
-        upper = [slice(None)] * spec.d
-        lower[axis] = slice(None, -1)
-        upper[axis] = slice(1, None)
-        out[tuple(lower)] -= grid[tuple(upper)]
-        out[tuple(upper)] -= grid[tuple(lower)]
-    return out.reshape(n)

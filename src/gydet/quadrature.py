@@ -2,16 +2,14 @@
 
 adaptive_quad is scipy's QUADPACK dqags (21-point Gauss-Kronrod panels
 with bisection and epsilon-algorithm extrapolation; Piessens et al.,
-1983); fixed_gauss_legendre is an independent single-panel rule kept as
-the second opinion in tests.
+1983).  The tests check it against an independent single-panel
+Gauss-Legendre rule (numpy's leggauss).
 """
 
 from __future__ import annotations
 
 import math
 from typing import Callable
-
-import numpy as np
 
 from .errors import QuadratureError
 
@@ -38,16 +36,3 @@ def adaptive_quad(
         raise QuadratureError(err, tol)
     return value
 
-
-def fixed_gauss_legendre(
-    f: Callable[[np.ndarray], np.ndarray], a: float, b: float, order: int = 200
-) -> float:
-    """Single-panel Gauss-Legendre rule of the given order.
-
-    Deliberately independent of the adaptive path; used as the second
-    opinion when pinning quadrature values in tests.
-    """
-    x, w = np.polynomial.legendre.leggauss(order)
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    return half * float(w @ np.asarray(f(mid + half * x), dtype=float))

@@ -240,6 +240,15 @@ class TestBench:
         assert out == ""
         assert err == f"gydet: error: {message}\n"
 
+    def test_one_distinct_size_has_no_slope(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "bench", "--sizes", "4,4", "--methods", "gy-a",
+            "--repeats", "1", "--min-time", "0.002",
+        )
+        assert code == 0
+        assert len([l for l in out.splitlines() if l.startswith("gy-a,4,")]) == 2
+        assert out.splitlines()[-1] == "# slope gy-a nan (fewer than two distinct timed sizes)"
+
     def test_rejects_other_dims(self, capsys):
         code, _, err = run_cli(
             capsys, "bench", "--dim", "3", "--sizes", "4", "--methods", "gy-a",
@@ -266,6 +275,27 @@ class TestThreads:
         assert code == 1
         assert out == ""
         assert err == "gydet: error: GYDET_THREADS must be an integer, got 'abc'\n"
+
+    @pytest.mark.parametrize(
+        "argv, env, message",
+        [
+            (("--threads", "0"), None, "--threads must be >= 1, got 0"),
+            (("--threads", "-3"), None, "--threads must be >= 1, got -3"),
+            ((), "0", "GYDET_THREADS must be >= 1, got 0"),
+        ],
+        ids=["flag-zero", "flag-negative", "env-zero"],
+    )
+    def test_cap_below_one_is_usage_error(self, capsys, monkeypatch, argv, env, message):
+        # rejected before the cap is applied, so also without threadpoolctl
+        monkeypatch.setitem(sys.modules, "threadpoolctl", None)
+        if env is None:
+            monkeypatch.delenv("GYDET_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("GYDET_THREADS", env)
+        code, out, err = run_cli(capsys, *argv, "det", "--size-n", "5")
+        assert code == 1
+        assert out == ""
+        assert err == f"gydet: error: {message}\n"
 
     def test_unapplied_cap_says_so(self, capsys, monkeypatch):
         monkeypatch.setitem(sys.modules, "threadpoolctl", None)
