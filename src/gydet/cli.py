@@ -20,12 +20,15 @@ note on stderr says so, and bench's default runs uncapped without a note.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
 import sys
 import time
 from contextlib import contextmanager
+
+from .lattice import DENSE_CAP
 
 USAGE_EXIT = 1
 SINGULAR_EXIT = 2
@@ -189,11 +192,7 @@ def cmd_det(args) -> int:
         "log_abs_det": ld.log_abs,
         "sign": ld.sign,
         "wall_time_seconds": wall,
-        "diagnostics": {
-            "min_pivot": ld.diagnostics.min_pivot,
-            "rescale_count": ld.diagnostics.rescale_count,
-            "method_tag": ld.method,
-        },
+        "diagnostics": {**dataclasses.asdict(ld.diagnostics), "method_tag": ld.method},
     }
     print(json_17g(record))
     return 0
@@ -214,12 +213,7 @@ def cmd_asym(args) -> int:
     record = {
         "regime": regime,
         "inputs": {"mass2": args.mass2, "N": N, "M": M},
-        "area_term": b.area_term,
-        "perimeter_term": b.perimeter_term,
-        "log_term": b.log_term,
-        "constant_term": b.constant_term,
-        "modular_term": b.modular_term,
-        "total": b.total,
+        **dataclasses.asdict(b),
     }
     if args.with_exact:
         if args.mass2 == 0.0:
@@ -266,6 +260,8 @@ def cmd_bench(args) -> int:
         raise UsageError("bench supports --dim 2 only")
     if args.repeats < 1:
         raise UsageError(f"--repeats must be >= 1, got {args.repeats}")
+    if not (math.isfinite(args.min_time) and args.min_time >= 0):
+        raise UsageError(f"--min-time must be finite and >= 0, got {args.min_time}")
     unknown = [m for m in args.methods if m not in ("gy-a", "dense")]
     if unknown:
         raise UsageError(f"bench methods must be gy-a or dense, got {', '.join(unknown)}")
@@ -335,7 +331,7 @@ def _add_lattice_flags(p: argparse.ArgumentParser):
         metavar=("LO", "HI"),
         help="uniform range for --random-seed (default -1 1)",
     )
-    p.add_argument("--dense-cap", type=int, default=20000, help="dense row cap")
+    p.add_argument("--dense-cap", type=int, default=DENSE_CAP, help="dense row cap")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -377,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-time", type=float, default=0.05, help="calibration floor per timing, seconds")
     p.add_argument("--random-seed", type=int, default=0)
     p.add_argument("--random-range", type=float, nargs=2, default=(-1.0, 1.0), metavar=("LO", "HI"))
-    p.add_argument("--dense-cap", type=int, default=20000)
+    p.add_argument("--dense-cap", type=int, default=DENSE_CAP)
     p.set_defaults(fn=cmd_bench)
 
     p = sub.add_parser("verify", help="cross-method verification suite")

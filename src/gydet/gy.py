@@ -187,25 +187,6 @@ def _aform_logdet(slices: Iterable[np.ndarray], K: int, n_steps: int) -> LogDet:
     n_negative = 0
     min_pivot = math.inf
     filled = 0
-    first_slice_in_buf = 1
-
-    def flush(upto: int):
-        nonlocal acc_log, n_negative, min_pivot, first_slice_in_buf
-        log_abs, nneg, piv = decode_bunch_kaufman(
-            band_buf[0, :upto], band_buf[1, :upto], i_buf[:upto]
-        )
-        if piv < EPS_PIVOT or not math.isfinite(log_abs):
-            # locate the first offending slice within the chunk
-            for row in range(upto):
-                la, _, p = decode_bunch_kaufman(*band_buf[:, row], i_buf[row])
-                if p < EPS_PIVOT:
-                    raise SingularCrossing(first_slice_in_buf + row, p)
-                if not math.isfinite(la):
-                    raise NonFiniteRecursion(first_slice_in_buf + row)
-        acc_log += log_abs
-        n_negative += nneg
-        min_pivot = min(min_pivot, piv)
-        first_slice_in_buf += upto
 
     # the LAPACK wrappers take their options positionally (lower=1, lwork,
     # overwrite_a=1): parsing keywords costs about 1 us a call, a tenth of
@@ -222,7 +203,21 @@ def _aform_logdet(slices: Iterable[np.ndarray], K: int, n_steps: int) -> LogDet:
         i_buf[filled] = ipiv
         filled += 1
         if filled == chunk or n == n_steps:
-            flush(filled)
+            log_abs, nneg, piv = decode_bunch_kaufman(
+                band_buf[0, :filled], band_buf[1, :filled], i_buf[:filled]
+            )
+            if piv < EPS_PIVOT or not math.isfinite(log_abs):
+                # locate the first offending slice; the chunk's first slice
+                # is n - filled + 1
+                for row in range(filled):
+                    la, _, p = decode_bunch_kaufman(*band_buf[:, row], i_buf[row])
+                    if p < EPS_PIVOT:
+                        raise SingularCrossing(n - filled + 1 + row, p)
+                    if not math.isfinite(la):
+                        raise NonFiniteRecursion(n - filled + 1 + row)
+            acc_log += log_abs
+            n_negative += nneg
+            min_pivot = min(min_pivot, piv)
             filled = 0
         if n < n_steps:
             inv, info = trs(ldu, ipiv, eye, 1)

@@ -18,6 +18,7 @@ threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -103,6 +104,8 @@ class PotentialField:
         """Uniform values on [lo, hi) from an explicit 64-bit seed."""
         if not lo < hi:
             raise ValueError(f"empty interval [{lo}, {hi})")
+        if not math.isfinite(hi - lo):
+            raise ValueError(f"interval [{lo}, {hi}) is too wide: hi - lo must be finite")
         if not 0 <= seed < 2**64:
             raise ValueError(f"seed must be in [0, 2**64), got {seed}")
         rng = np.random.default_rng(np.uint64(seed))

@@ -63,26 +63,20 @@ class LogDet:
 def decode_bunch_kaufman(d: np.ndarray, sub: np.ndarray, ipiv: np.ndarray):
     """Reduce Bunch-Kaufman D-block data to (log_abs, n_negative, min_pivot).
 
-    d and sub are the diagonal and first subdiagonal of the factor returned
-    by dsytrf(lower=1); ipiv is its pivot vector.  LAPACK marks the two rows
-    of each 2x2 block with matching negative ipiv entries, so negatives come
-    in adjacent pairs and runs of negatives have even length.  Exact zero
-    pivots are reported as min_pivot == 0.0, never as -inf logs.
-
-    Accepts single factorizations (d of shape (K,), sub of shape (K-1,))
-    or stacks of them (leading row axis); 2x2 pairs never straddle a row
-    boundary because every factorization contributes whole blocks.
+    d and ipiv are the diagonal and pivot vector of the factor returned by
+    dsytrf(lower=1), sub its first subdiagonal; all three are raveled, so
+    sub[i] must be the entry below d[i].  That holds for one factorization
+    (sub = ldu.diagonal(-1), of length K-1) and for a stack of them whose
+    sub rows are zero-padded to length K.  LAPACK marks the two rows of
+    each 2x2 block, and only those, with negative ipiv entries; every
+    factorization holds whole blocks, so the negative positions come in
+    consecutive pairs and every other one is the first row of a block.
+    Exact zero pivots are reported as min_pivot == 0.0, never as -inf logs.
     """
-    d = np.asarray(d)
-    ipiv = np.asarray(ipiv)
-    if d.ndim == 1:
-        d = d[None, :]
-        ipiv = ipiv[None, :]
-    K = d.shape[1]
-    pos = (ipiv > 0).ravel()
-    all_pos = pos.all()
-    d = d.ravel()
-    d1 = d[pos] if not all_pos else d
+    d = np.asarray(d).ravel()
+    neg = np.asarray(ipiv).ravel() < 0
+    has_2x2 = neg.any()
+    d1 = d[~neg] if has_2x2 else d
     ad1 = np.abs(d1)
     nneg = int(np.count_nonzero(d1 < 0.0))
     min_pivot = float(ad1.min()) if ad1.size else math.inf
@@ -90,26 +84,13 @@ def decode_bunch_kaufman(d: np.ndarray, sub: np.ndarray, ipiv: np.ndarray):
         log_abs = -math.inf
     else:
         log_abs = float(np.log(ad1).sum()) if ad1.size else 0.0
-    if not all_pos:
-        sub = np.asarray(sub)
-        if sub.ndim == 1:
-            sub = sub[None, :]
-        if sub.shape[1] != K:
-            # pad each row's subdiagonal so flat indices line up with d's
-            padded = np.zeros((sub.shape[0], K))
-            padded[:, : sub.shape[1]] = sub
-            sub = padded
-        sub = sub.ravel()
-        neg_idx = np.flatnonzero(~pos)
-        starts = np.ones(neg_idx.size, dtype=bool)
-        starts[1:] = np.diff(neg_idx) > 1
-        run_bounds = np.append(np.flatnonzero(starts), neg_idx.size)
-        run_first = np.repeat(neg_idx[starts], np.diff(run_bounds))
-        firsts = neg_idx[(neg_idx - run_first) % 2 == 0]
+    if has_2x2:
+        sub = np.asarray(sub).ravel()
+        firsts = np.flatnonzero(neg)[::2]
         det2 = d[firsts] * d[firsts + 1] - sub[firsts] ** 2
         ad2 = np.abs(det2)
         nneg += int(np.count_nonzero(det2 < 0.0))
-        min2 = float(ad2.min()) if ad2.size else math.inf
+        min2 = float(ad2.min())
         # sqrt|det| is the geometric-mean magnitude of the block's eigenpair
         min_pivot = min(min_pivot, math.sqrt(min2))
         if min2 == 0.0:
@@ -139,9 +120,7 @@ class SymmetricFactor:
         if info < 0:
             raise ValueError(f"dsytrf: illegal argument {-info}")
         self.log_abs, n_negative, self.min_pivot = decode_bunch_kaufman(
-            self._ldu.diagonal(),
-            self._ldu.diagonal(-1) if n > 1 else np.empty(0),
-            self._ipiv,
+            self._ldu.diagonal(), self._ldu.diagonal(-1), self._ipiv
         )
         self.sign = -1 if n_negative % 2 else 1
 
@@ -160,8 +139,6 @@ def dense_logdet(H: np.ndarray) -> LogDet:
     Raises SingularMatrix on an exact zero pivot.
     """
     H = np.asarray(H, dtype=float)
-    if H.ndim != 2 or H.shape[0] != H.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {H.shape}")
     if not np.isfinite(H).all():
         raise ValueError("matrix contains non-finite entries")
     fac = SymmetricFactor(H)

@@ -264,3 +264,15 @@ class TestMasslessAsymptotic:
         assert abs(coef[1] - (-2.0 * math.log(1.0 + math.sqrt(2.0)))) < 1e-3
         assert abs(coef[2] - 4 * CATALAN / math.pi) < 1e-6
         assert abs(coef[3] - (-0.5)) < 2e-2
+
+
+@pytest.mark.parametrize("m2", [math.nan, math.inf])
+@pytest.mark.parametrize(
+    "fn",
+    [g_of_m, quad_I1, quad_I2, lambda m2: massive_asymptotic_logdet(m2, 8, 8)],
+    ids=["g_of_m", "quad_I1", "quad_I2", "massive"],
+)
+def test_rejects_nonfinite_mass(fn, m2):
+    # nan passed the old sign checks and surfaced as a quadrature failure
+    with pytest.raises(ValueError, match="finite"):
+        fn(m2)

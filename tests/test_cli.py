@@ -132,8 +132,24 @@ class TestDet:
             ),
             (("asym", "--mass2", "1", "--size-n", "1", "--size-m", "4"), "N and M must be >= 2"),
             (("det", "--size-n", "4", "--random-seed", "-1"), "seed must be in [0, 2**64), got -1"),
+            (
+                ("det", "--size-n", "3", "--size-m", "3", "--random-seed", "1",
+                 "--random-range", "0", "inf"),
+                "interval [0.0, inf) is too wide: hi - lo must be finite",
+            ),
+            (
+                ("asym", "--mass2", "nan", "--size-n", "8", "--size-m", "8"),
+                "massive asymptotic requires finite m2 > 0, got nan",
+            ),
+            (
+                ("asym", "--mass2", "inf", "--size-n", "8", "--size-m", "8"),
+                "massive asymptotic requires finite m2 > 0, got inf",
+            ),
         ],
-        ids=["det-size-n", "det-dim", "det-random-range", "asym-size-n", "det-random-seed"],
+        ids=[
+            "det-size-n", "det-dim", "det-random-range", "asym-size-n", "det-random-seed",
+            "det-random-range-unbounded", "asym-mass2-nan", "asym-mass2-inf",
+        ],
     )
     def test_invalid_input_is_usage_error(self, capsys, argv, message):
         code, out, err = run_cli(capsys, *argv)
@@ -215,15 +231,23 @@ class TestBench:
         vals = [float(r.split(",")[3]) for r in rows]
         assert abs(vals[0] - vals[1]) < 1e-9 * max(1.0, abs(vals[0]))
 
-    def test_rejects_zero_repeats(self, capsys, monkeypatch):
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("--repeats", "0"), "--repeats must be >= 1, got 0"),
+            (("--min-time", "-1"), "--min-time must be finite and >= 0, got -1.0"),
+            (("--min-time", "nan"), "--min-time must be finite and >= 0, got nan"),
+            (("--min-time", "inf"), "--min-time must be finite and >= 0, got inf"),
+        ],
+        ids=["repeats-zero", "min-time-negative", "min-time-nan", "min-time-inf"],
+    )
+    def test_rejects_bad_timing_flag(self, capsys, monkeypatch, argv, message):
         monkeypatch.delenv("GYDET_THREADS", raising=False)
-        code, out, err = run_cli(
-            capsys, "bench", "--sizes", "4", "--methods", "gy-a", "--repeats", "0",
-        )
+        code, out, err = run_cli(capsys, "bench", "--sizes", "4", "--methods", "gy-a", *argv)
         assert code == 1
         assert out == ""
         # bench's default one-thread cap adds no note, applied or not
-        assert err == "gydet: error: --repeats must be >= 1, got 0\n"
+        assert err == f"gydet: error: {message}\n"
 
     @pytest.mark.parametrize(
         "argv, message",

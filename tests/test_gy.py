@@ -194,6 +194,20 @@ class TestMatrixForms:
             matrix_logdet_aform(spec, pot)
         assert exc.value.slice_index == 1
 
+    @pytest.mark.parametrize("s", [4096, 4097, 8193])
+    def test_sub_threshold_crossing_past_first_chunk(self, s):
+        # K = 1, T_n = 4 + V_n: B_{s-1} = 4 + 1e305 - ..., so the pivot at
+        # slice s is 0 - 1/B_{s-1} = -1e-305; dsytrf does not flag it, and
+        # the chunked decode must name slice s
+        spec = LatticeSpec(d=2, N=9001, M=2)
+        V = np.zeros((spec.N - 1, 1))
+        V[s - 2] = 1e305
+        V[s - 1] = -4.0
+        pot = PotentialField(spec, V, ("file", "test"))
+        with pytest.raises(SingularCrossing) as exc:
+            matrix_logdet_aform(spec, pot)
+        assert exc.value.slice_index == s
+
     def test_gaussian_toy_needs_no_linear_term(self):
         # 2-slice toy: the quadratic-only recursion reproduces the dense
         # determinant exactly, confirming no linear correction is missing

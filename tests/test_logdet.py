@@ -77,7 +77,7 @@ class TestDecodeStacked:
                 B = B @ B.T
             ldu, ipiv, info = dsytrf(B, lower=1)
             ds.append(ldu.diagonal().copy())
-            os_.append(ldu.diagonal(-1).copy())
+            os_.append(np.append(ldu.diagonal(-1), 0.0))  # padded to K
             ips.append(ipiv.copy())
             la, nn, _ = decode_bunch_kaufman(ds[-1], os_[-1], ips[-1])
             tot_log += la
@@ -85,6 +85,31 @@ class TestDecodeStacked:
         la, nn, _ = decode_bunch_kaufman(np.array(ds), np.array(os_), np.array(ips))
         assert abs(la - tot_log) < 1e-9 * max(1.0, abs(tot_log))
         assert nn == tot_neg
+
+    def test_back_to_back_2x2_blocks(self):
+        # two 2x2 blocks in a row, then a 1x1, then a 2x2:
+        # det = (-4)(-9.02)(5)(-1) = -180.4
+        from scipy.linalg import block_diag
+        from scipy.linalg.lapack import dsytrf
+
+        B = block_diag([[0, 2], [2, 0]], [[0.1, 3], [3, -0.2]], [[5]], [[0, 1], [1, 0]])
+        ldu, ipiv, _ = dsytrf(B, lower=1)
+        assert ipiv.tolist() == [-2, -2, -4, -4, 5, -7, -7]
+        sign, want = np.linalg.slogdet(B)
+        assert sign == -1 and abs(want - 5.19517660762852) < 1e-13
+        d, sub = ldu.diagonal(), ldu.diagonal(-1)
+        la, nn, _ = decode_bunch_kaufman(d, sub, ipiv)
+        assert nn % 2 == 1 and abs(la - want) < 1e-13
+        # the same factor stacked after a positive-definite one: I + the
+        # all-ones matrix has eigenvalues 1 (six times) and 8
+        P = np.eye(7) + 1.0
+        P_ldu, P_ipiv, _ = dsytrf(P, lower=1)
+        la, nn, _ = decode_bunch_kaufman(
+            np.array([P_ldu.diagonal(), d]),
+            np.array([np.append(P_ldu.diagonal(-1), 0.0), np.append(sub, 0.0)]),
+            np.array([P_ipiv, ipiv]),
+        )
+        assert nn % 2 == 1 and abs(la - (want + math.log(8.0))) < 1e-13
 
 
 class TestDenseLogdet:
