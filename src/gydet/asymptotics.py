@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .oracles import _acosh1p
+from .oracles import _acosh1p, _check_m2
 from .quadrature import adaptive_quad
 
 _LOG2 = math.log(2.0)
@@ -77,8 +77,7 @@ def euler_product_log(q: float) -> float:
 
 def g_of_m(m2: float) -> float:
     """g(m) = arccosh(1 + m^2/2) + arccosh(3 + m^2/2), safe near m = 0."""
-    if not (math.isfinite(m2) and m2 >= 0):
-        raise ValueError(f"m2 must be finite and >= 0, got {m2}")
+    _check_m2(m2)
     return _acosh1p(m2 / 2.0) + _acosh1p(2.0 + m2 / 2.0)
 
 
@@ -96,8 +95,7 @@ def quad_I1(m2: float) -> float:
     {0, 0.25, 1, 4}, and at most 1.71 ulps off over 37 values of m^2 in
     [0, 9].
     """
-    if not (math.isfinite(m2) and m2 >= 0):
-        raise ValueError(f"m2 must be finite and >= 0, got {m2}")
+    _check_m2(m2)
 
     def f(x):
         # 2(1-cos x) = 4 sin^2(x/2), exact at the x -> 0 endpoint

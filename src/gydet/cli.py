@@ -8,9 +8,10 @@ Subcommands:
   verify  cross-method check suite; pass/fail table, exit 3 on failure
 
 Data goes to stdout, logs to stderr.  Exit codes: 0 success, 1 usage
-error, 2 singular crossing, 3 failed verification.  JSON floats are
-printed as the shortest string that round-trips exactly; inf and nan,
-which JSON lacks, are printed as null.
+error, 2 singular crossing (a sweep pivot below threshold, or an exact
+zero pivot in the dense factorization), 3 failed verification.  JSON
+floats are printed as the shortest string that round-trips exactly; inf
+and nan, which JSON lacks, are printed as null.
 The BLAS thread cap comes from --threads or GYDET_THREADS and must be at
 least 1; bench defaults to one thread.  Capping needs threadpoolctl:
 without it a cap from --threads or GYDET_THREADS is not applied and a
@@ -383,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    from .errors import GydetError, SingularCrossing
+    from .errors import GydetError, SingularCrossing, SingularMatrix
 
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -399,7 +400,7 @@ def main(argv=None) -> int:
         # extents, dimensions, potential ranges)
         print(f"gydet: error: {exc}", file=sys.stderr)
         return USAGE_EXIT
-    except SingularCrossing as exc:
+    except (SingularCrossing, SingularMatrix) as exc:
         print(f"gydet: singular crossing: {exc}", file=sys.stderr)
         return SINGULAR_EXIT
     except GydetError as exc:

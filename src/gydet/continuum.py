@@ -12,12 +12,14 @@ recursion for discrete and continuum operators.  x is sampled at the nodes
 x_i = L i / n (h = L / n), and the ratio is sum_i ln det B_i(V) minus
 sum_i ln det B_i(0) for the bounded recursion over the slices
 T_i = 2I + h^2 Omega(x_i): scalar_logdet once per mode for 1-D and
-mode-diagonal potentials, the A-form for dense couplings.  For smooth V
-the error of this discrete ratio is a series in h^2, which Richardson
-extrapolation over step doubling from n = MIN_STEPS removes until the
-extrapolated value moves less than the requested tolerance; the chain
-diagonals are rounded with compensated running sums (_on_grid), so that
-rounding 2 + h^2 V does not grow into an O(n^2 eps) error.  The free
+mode-diagonal potentials, the A-form for dense couplings, all in one
+sampling loop (_lattice_ratio) with one sign rule: SignChange only when
+det H_V or det H_0 is negative, never for a single mode's factor.  For
+smooth V the error of this discrete ratio is a series in h^2, which
+Richardson extrapolation over step doubling from n = MIN_STEPS removes
+until the extrapolated value moves less than the requested tolerance; the
+chain diagonals are rounded with compensated running sums (_on_grid), so
+that rounding 2 + h^2 V does not grow into an O(n^2 eps) error.  The free
 system runs through the same code with identical arithmetic, so a
 potential that evaluates to zero gives exactly 0.0.  A potential with a
 jump converges only at first order; a ratio that has not met its
@@ -138,13 +140,28 @@ def _on_grid(v: np.ndarray) -> np.ndarray:
     return g + np.diff(carry, axis=0, prepend=0.0)
 
 
-def _chain_ratio(diag_V: np.ndarray, diag_0: np.ndarray) -> float:
-    """Sum over the columns k of ln det(tridiag(-1, 2 + diag[:, k], -1))
-    for diag_V minus the same for diag_0, one scalar sweep per column."""
-    return sum(
-        _positive_log(scalar_logdet(v)) - _positive_log(scalar_logdet(f))
-        for v, f in zip(_on_grid(diag_V).T, _on_grid(diag_0).T)
-    )
+def _chains(diag: np.ndarray) -> LogDet:
+    """Product over the columns k of det(tridiag(-1, 2 + diag[:, k], -1)),
+    one scalar sweep per column of the _on_grid diagonals: the summed
+    ln|det| of the chains and the product of their signs."""
+    lds = [scalar_logdet(col) for col in _on_grid(diag).T]
+    sign = math.prod(ld.sign for ld in lds)
+    return LogDet(sum(ld.log_abs for ld in lds), sign, "scalar-a")
+
+
+def _lattice_ratio(L: float, sweep: Callable, vhat: Callable, zero, tol: float) -> RatioResult:
+    """Richardson limit of ln det H_V - ln det H_0 on [0, L].  sweep(h^2,
+    nodes, vhat) is the lattice determinant over the nodes x_i = L i / n
+    with the potential vhat(x_i); it runs for V and for vhat = zero, and
+    a negative determinant of either raises SignChange."""
+
+    def run(n: int) -> float:
+        h2 = (L / n) ** 2
+        nodes = [L * i / n for i in range(1, n)]
+        log_V = _positive_log(sweep(h2, nodes, vhat))
+        return log_V - _positive_log(sweep(h2, nodes, lambda x: zero))
+
+    return _extrapolate(run, tol, order=2, step=2)
 
 
 def ratio_logdet_1d(pot: Potential1D, tol: float = 1e-10) -> RatioResult:
@@ -154,14 +171,11 @@ def ratio_logdet_1d(pot: Potential1D, tol: float = 1e-10) -> RatioResult:
     crossed and the real-valued ratio log is undefined) and
     NonConvergentRatio when tol is not met by MAX_STEPS.
     """
-    L, V = pot.L, pot.V
 
-    def run(n: int) -> float:
-        h2 = (L / n) ** 2
-        diag = h2 * np.array([[V(L * i / n)] for i in range(1, n)])
-        return _chain_ratio(diag, np.zeros_like(diag))
+    def sweep(h2: float, nodes: list[float], vhat: Callable) -> LogDet:
+        return _chains(h2 * np.array([[vhat(x)] for x in nodes]))
 
-    return _extrapolate(run, tol, order=2, step=2)
+    return _lattice_ratio(pot.L, sweep, pot.V, 0.0, tol)
 
 
 def ratio_logdet_1d_riccati(pot: Potential1D, tol: float = 1e-10) -> RatioResult:
@@ -184,27 +198,24 @@ def ratio_logdet_1d_riccati(pot: Potential1D, tol: float = 1e-10) -> RatioResult
         u = 1.0
         s = 0.0  # integral of u dt = integral of z dx
         t = 0.0
+        w1 = x0 * x0 * V(x0)
         for _ in range(n_steps):
-            x1 = x0 * math.exp(t)
             xm = x0 * math.exp(t + 0.5 * h)
-            x2 = x0 * math.exp(t + h)
-            w1 = x1 * x1 * V(x1)
+            t += h
+            x2 = x0 * math.exp(t)  # the next step's start node
             wm = xm * xm * V(xm)
             w2 = x2 * x2 * V(x2)
-            k1u = u - u * u + w1
-            k1s = u
-            u2 = u + 0.5 * h * k1u
-            k2u = u2 - u2 * u2 + wm
-            k2s = u2
-            u3 = u + 0.5 * h * k2u
-            k3u = u3 - u3 * u3 + wm
-            k3s = u3
-            u4 = u + h * k3u
-            k4u = u4 - u4 * u4 + w2
-            k4s = u4
-            u += h / 6.0 * (k1u + 2.0 * (k2u + k3u) + k4u)
-            s += h / 6.0 * (k1s + 2.0 * (k2s + k3s) + k4s)
-            t += h
+            k1 = u - u * u + w1
+            u2 = u + 0.5 * h * k1
+            k2 = u2 - u2 * u2 + wm
+            u3 = u + 0.5 * h * k2
+            k3 = u3 - u3 * u3 + wm
+            u4 = u + h * k3
+            k4 = u4 - u4 * u4 + w2
+            # s' = u, so its four stages are u's stage values
+            s += h / 6.0 * (u + 2.0 * (u2 + u3) + u4)
+            u += h / 6.0 * (k1 + 2.0 * (k2 + k3) + k4)
+            w1 = w2
             if not math.isfinite(u):
                 raise SignChange("Riccati variable diverged: sign change")
         return math.log(x0) - math.log(L) + s
@@ -361,13 +372,12 @@ def ratio_logdet_2d_truncated(
     and for the free operator on the same nodes and subtracts the
     log-determinants (one scalar chain per mode for mode-diagonal
     potentials, the A-form otherwise); V = 0 therefore returns exactly 0
-    for every K.  Raises SignChange when the determinant (or, mode-diagonal,
-    one mode's factor) goes negative, and NonConvergentRatio when tol is
-    not met by MAX_STEPS.  With check_truncation the value at K//2 is
-    computed as well, their gap reported in truncation_gap, and a
-    NonConvergentTruncation warning is issued when the gap exceeds 10 * tol
-    (constant-mass couplings genuinely diverge logarithmically in K; see
-    the module docstring).
+    for every K.  Raises SignChange only when det H_V or det H_0 goes
+    negative, and NonConvergentRatio when tol is not met by MAX_STEPS.
+    With check_truncation the value at K//2 is computed as well, their gap
+    reported in truncation_gap, and a NonConvergentTruncation warning is
+    issued when the gap exceeds 10 * tol (constant-mass couplings
+    genuinely diverge logarithmically in K; see the module docstring).
     """
     if K < 1:
         raise ValueError(f"K must be >= 1, got {K}")
@@ -376,10 +386,11 @@ def ratio_logdet_2d_truncated(
     om0sq = (math.pi * np.arange(1, K + 1) / W) ** 2
 
     if pot.is_mode_diagonal:
-        def run(n: int) -> float:
-            h2 = (L / n) ** 2
-            om = om0sq + np.array([pot.diagonal_modes(L * i / n, K) for i in range(1, n)])
-            return _chain_ratio(h2 * om, h2 * (om0sq + np.zeros_like(om)))
+        elements = functools.partial(pot.diagonal_modes, K=K)
+        zero = np.zeros(K)
+
+        def sweep(h2: float, nodes: list[float], vhat: Callable) -> LogDet:
+            return _chains(h2 * (om0sq + np.array([vhat(x) for x in nodes])))
     else:
         elements = functools.partial(pot.matrix_elements, K=K)
         if pot._position is not None:
@@ -390,17 +401,11 @@ def ratio_logdet_2d_truncated(
         two = 2.0 * np.eye(K)
         om0 = np.diag(om0sq)
 
-        def run(n: int) -> float:
-            h2 = (L / n) ** 2
-            nodes = [L * i / n for i in range(1, n)]
+        def sweep(h2: float, nodes: list[float], vhat: Callable) -> LogDet:
+            slices = (two + h2 * (om0 + vhat(x)) for x in nodes)
+            return _aform_logdet(slices, K, len(nodes))
 
-            def sweep(vhat: Callable[[float], np.ndarray]) -> float:
-                slices = (two + h2 * (om0 + vhat(x)) for x in nodes)
-                return _positive_log(_aform_logdet(slices, K, n - 1))
-
-            return sweep(elements) - sweep(lambda x: zero)
-
-    result = replace(_extrapolate(run, tol, order=2, step=2), K_used=K)
+    result = replace(_lattice_ratio(L, sweep, elements, zero, tol), K_used=K)
     if check_truncation and K >= 2:
         half = ratio_logdet_2d_truncated(pot, L, W, K // 2, tol)
         gap = result.log_ratio - half.log_ratio

@@ -37,7 +37,7 @@ import math
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
-from scipy.linalg.lapack import dsytrf, dsytrf_lwork, dsytrs
+from scipy.linalg.lapack import dgetrf, dsytrf, dsytrf_lwork, dsytrs
 
 from .errors import NonFiniteRecursion, SingularCrossing
 from .lattice import LatticeSpec, PotentialField, transverse_laplacian
@@ -88,15 +88,11 @@ def scalar_logdet(V: Sequence[float]) -> LogDet:
     if not np.isfinite(V).all():
         raise ValueError("V contains non-finite values")
     vals = V.tolist()  # Python floats: numpy scalars are far slower per step
-    n_sites = len(vals)
-    u = 2.0 + vals[0]  # y_2
-    v = 1.0  # y_1
+    u, v = 1.0, 0.0  # (y_1, y_0)
     acc = 0.0
     rescales = 0
-    min_pivot = abs(u)  # first pivot a_1 + 1 = V_1 + 2 over y_1 = 1
-    if min_pivot < EPS_PIVOT:
-        raise SingularCrossing(1, min_pivot)
-    for k, vk in enumerate(vals[1:], start=2):
+    min_pivot = math.inf
+    for k, vk in enumerate(vals, start=1):
         u, v = (2.0 + vk) * u - v, u
         au = abs(u)
         piv = au / abs(v)
@@ -115,9 +111,7 @@ def scalar_logdet(V: Sequence[float]) -> LogDet:
             acc -= _LOG_SCALE
             rescales += 1
     if not math.isfinite(u):
-        raise NonFiniteRecursion(n_sites)
-    if u == 0.0:
-        raise SingularCrossing(n_sites, 0.0)
+        raise NonFiniteRecursion(len(vals))
     acc += math.log(abs(u))
     return LogDet(
         log_abs=acc,
@@ -251,8 +245,6 @@ def matrix_logdet_yform(spec: LatticeSpec, pot: PotentialField) -> LogDet:
     """
     if pot.spec != spec:
         raise ValueError("potential was built for a different lattice")
-    from scipy.linalg import lu_factor
-
     K = spec.K
     Y_prev = np.zeros((K, K))
     Y = np.eye(K)
@@ -270,11 +262,11 @@ def matrix_logdet_yform(spec: LatticeSpec, pot: PotentialField) -> LogDet:
             Y_prev /= peak
             log_scale += math.log(peak)
             rescales += 1
-    lu, piv = lu_factor(Y)
+    lu, piv, info = dgetrf(Y)
+    if info > 0:
+        raise SingularCrossing(spec.N, 0.0)
     diag = lu.diagonal()
     adiag = np.abs(diag)
-    if adiag.min() == 0.0:
-        raise SingularCrossing(spec.N, 0.0)
     log_abs = float(np.log(adiag).sum())
     n_neg = int(np.count_nonzero(diag < 0.0))
     n_swaps = int(np.count_nonzero(piv != np.arange(K)))

@@ -28,6 +28,11 @@ from .logdet import Diagnostics, LogDet
 from .lattice import transverse_eigenvalues
 
 
+def _check_m2(m2: float) -> None:
+    if not (math.isfinite(m2) and m2 >= 0):
+        raise ValueError(f"m2 must be finite and >= 0, got {m2}")
+
+
 def _acosh1p(t: float) -> float:
     """arccosh(1 + t) for t >= 0 without cancellation near t = 0."""
     return math.log1p(t + math.sqrt(t * (t + 2.0)))
@@ -62,8 +67,7 @@ def sinh_product_logdet(m2: float, N: int, M: int) -> LogDet:
     error of the total is bounded by the errors of the terms and does not
     grow with the number of additions.
     """
-    if m2 < 0:
-        raise ValueError(f"m2 must be >= 0, got {m2}")
+    _check_m2(m2)
     if N < 2 or M < 2:
         raise ValueError("N and M must be >= 2")
     terms = []
@@ -86,8 +90,7 @@ def eigenproduct_logdet_2d(m2: float, N: int, M: int) -> LogDet:
     The smallest eigenvalue 2(1-cos(pi/N)) + 2(1-cos(pi/M)) + m^2 is
     strictly positive for finite N, M, so the sign is always +.
     """
-    if m2 < 0:
-        raise ValueError(f"m2 must be >= 0, got {m2}")
+    _check_m2(m2)
     if N < 2 or M < 2:
         raise ValueError("N and M must be >= 2")
     eigs = m2 - transverse_eigenvalues(N)[:, None] - transverse_eigenvalues(M)[None, :]

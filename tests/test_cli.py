@@ -113,13 +113,18 @@ class TestDet:
         assert code == 1
         assert "constant mass" in err
 
-    def test_singular_crossing_exit_code(self, capsys):
+    @pytest.mark.parametrize("method", ["gy-a", "gy-y", "dense"])
+    def test_singular_crossing_exit_code(self, capsys, method):
         # single interior site with V = -2: the operator is exactly zero
         code, _, err = run_cli(
-            capsys, "det", "--dim", "1", "--size-n", "2", "--mass2", "-2",
+            capsys, "det", "--dim", "1", "--size-n", "2", "--mass2", "-2", "--method", method,
         )
         assert code == 2
         assert "singular" in err.lower()
+        if method == "gy-y":
+            # one line of its own, no LAPACK warning before it
+            assert err.startswith("gydet: singular crossing: ")
+            assert err.count("\n") == 1
 
     @pytest.mark.parametrize(
         "argv, message",

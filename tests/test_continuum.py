@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from gydet.continuum import (
+    MIN_STEPS,
     Potential1D,
     TransversePotential2D,
     ratio_logdet_1d,
@@ -135,6 +136,20 @@ class TestRiccatiDiagnostic:
         # u = 1 is an exact fixed point of the substituted flow
         r = ratio_logdet_1d_riccati(Potential1D.constant(0.0, 1.0), tol=1e-8)
         assert abs(r.log_ratio) < 1e-12
+
+    def test_one_potential_call_per_node(self):
+        # an n-step sweep evaluates V at its n + 1 step nodes and n
+        # midpoints; a step's end node is the next step's start node
+        calls = []
+        pot = Potential1D(V=lambda x: calls.append(x) or 1.0 + x, L=1.0)
+        r = ratio_logdet_1d_riccati(pot, tol=1e-8)
+        levels = []
+        n = MIN_STEPS
+        while n <= r.step_count:
+            levels.append(n)
+            n *= 2
+        assert len(levels) >= 3
+        assert len(calls) == sum(2 * n + 1 for n in levels)
 
     def test_sign_change_detected(self):
         # any zero of y blows the Riccati variable up, even when later
@@ -303,6 +318,26 @@ class TestRatio2D:
         a = ratio_logdet_2d_truncated(pos, L, W, K, tol=1e-8)
         b = ratio_logdet_2d_truncated(mode, L, W, K, tol=1e-8)
         assert abs(a.log_ratio - b.log_ratio) < 1e-7
+
+    def test_two_negative_modes_same_either_way(self):
+        # Omega = -(pi^2 + 5) in both modes: each mode's factor sin(w)/w
+        # is negative, their product and the ratio are not, and the
+        # mode-diagonal and dense sweeps share one sign rule
+        W = L = 1.0
+        c = np.array([-(2 * math.pi**2 + 5), -(5 * math.pi**2 + 5)])
+        diag = TransversePotential2D(W, diagonal_modes=lambda x, K: c[:K])
+        dense = TransversePotential2D(W, mode_matrix=lambda x, K: np.diag(c[:K]))
+        a = ratio_logdet_2d_truncated(diag, L, W, 2, tol=1e-8).log_ratio
+        b = ratio_logdet_2d_truncated(dense, L, W, 2, tol=1e-8).log_ratio
+        w = math.sqrt(math.pi**2 + 5)
+        want = (
+            2 * math.log(abs(math.sin(w) / w))
+            - math.log(math.sinh(math.pi) / math.pi)
+            - math.log(math.sinh(2 * math.pi) / (2 * math.pi))
+        )
+        assert want == pytest.approx(-8.598785174564407, abs=1e-12)
+        assert abs(a - b) < 1e-7
+        assert abs(a - want) < 1e-7 and abs(b - want) < 1e-7, (a, b, want)
 
     def test_w_mismatch_rejected(self):
         pot = TransversePotential2D.constant(1.0, 2.0)

@@ -109,6 +109,14 @@ class TestScalarLogdet:
             scalar_logdet(V)
         assert exc.value.slice_index == 4
 
+    def test_rescale_from_first_pivot(self):
+        # y_2 = 1e160 is past the rescale threshold: unless it is rescaled
+        # before the next site, y_3 = 1e320 overflows
+        ld = scalar_logdet([1e160, 1e160])
+        sign, want = np.linalg.slogdet(np.array([[2.0 + 1e160, -1.0], [-1.0, 2.0 + 1e160]]))
+        assert (ld.sign, sign) == (1, 1.0)
+        assert ld.log_abs == pytest.approx(want, rel=1e-12)  # 736.8272297580946
+
     def test_min_pivot_diagnostic(self):
         ld = scalar_logdet(np.zeros(9))
         # free pivots are (k+1)/k, smallest at the last slice: 10/9

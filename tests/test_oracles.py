@@ -108,3 +108,10 @@ class TestClosedForms:
             sinh_product_logdet(-1.0, 4, 4)
         with pytest.raises(ValueError):
             eigenproduct_logdet_2d(0.0, 1, 4)
+
+    @pytest.mark.parametrize("oracle", [sinh_product_logdet, eigenproduct_logdet_2d])
+    @pytest.mark.parametrize("m2", [math.nan, math.inf, -1.0])
+    def test_rejects_bad_mass(self, oracle, m2):
+        # the error names m2 rather than the non-finite log it would produce
+        with pytest.raises(ValueError, match=rf"^m2 must be finite and >= 0, got {m2}$"):
+            oracle(m2, 8, 8)
