@@ -19,7 +19,6 @@ cross-method verification suite.
 from .errors import (
     GydetError,
     NonConvergentRatio,
-    NonConvergentTruncation,
     NonFiniteRecursion,
     PotentialFileError,
     QuadratureError,
@@ -80,7 +79,6 @@ __all__ = [
     "LatticeSpec",
     "LogDet",
     "NonConvergentRatio",
-    "NonConvergentTruncation",
     "NonFiniteRecursion",
     "Potential1D",
     "PotentialField",

@@ -11,11 +11,8 @@ Data goes to stdout, logs to stderr.  Exit codes: 0 success, 1 usage
 error, 2 singular crossing (a sweep pivot below threshold, or an exact
 zero pivot in the dense factorization), 3 failed verification.  JSON
 floats are printed as the shortest string that round-trips exactly; inf
-and nan, which JSON lacks, are printed as null.
-The BLAS thread cap comes from --threads or GYDET_THREADS and must be at
-least 1; bench defaults to one thread.  Capping needs threadpoolctl:
-without it a cap from --threads or GYDET_THREADS is not applied and a
-note on stderr says so, and bench's default runs uncapped without a note.
+and nan, which JSON lacks, are printed as null.  The BLAS thread count is
+set before launch, with OPENBLAS_NUM_THREADS or OMP_NUM_THREADS.
 """
 
 from __future__ import annotations
@@ -24,10 +21,8 @@ import argparse
 import dataclasses
 import json
 import math
-import os
 import sys
 import time
-from contextlib import contextmanager
 
 from .lattice import DENSE_CAP
 
@@ -63,48 +58,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(USAGE_EXIT)
-
-
-@contextmanager
-def _thread_limit(n: int | None, note: bool):
-    """Cap BLAS at n threads (None: no cap); without threadpoolctl the cap
-    is skipped, with a note on stderr if note is set."""
-    if n is None:
-        yield
-        return
-    try:
-        from threadpoolctl import threadpool_limits
-    except ImportError:
-        # BLAS is loaded by now, so setting its environment variables
-        # would change nothing
-        if note:
-            print(f"--threads {n} not applied: threadpoolctl is not installed", file=sys.stderr)
-        yield
-        return
-    with threadpool_limits(limits=n):
-        yield
-
-
-def _default_threads(args) -> int | None:
-    """The BLAS thread cap from --threads or GYDET_THREADS (None: none given).
-
-    A cap below 1 is a usage error, checked here so that it is one with or
-    without threadpoolctl.
-    """
-    if getattr(args, "threads", None) is not None:
-        n, source = args.threads, "--threads"
-    else:
-        env = os.environ.get("GYDET_THREADS")
-        if not env:
-            return None
-        try:
-            n = int(env)
-        except ValueError:
-            raise UsageError(f"GYDET_THREADS must be an integer, got {env!r}") from None
-        source = "GYDET_THREADS"
-    if n < 1:
-        raise UsageError(f"{source} must be >= 1, got {n}")
-    return n
 
 
 def _build_problem(args):
@@ -308,7 +261,7 @@ def cmd_bench(args) -> int:
 def cmd_verify(args) -> int:
     from .verify import run_suite
 
-    results = run_suite(quick=args.quick, out=sys.stdout)
+    results = run_suite(quick=args.quick)
     failures = [name for name, failure in results if failure is not None]
     if failures:
         print(f"FAILED: {', '.join(failures)}", file=sys.stderr)
@@ -337,7 +290,6 @@ def _add_lattice_flags(p: argparse.ArgumentParser):
 
 def build_parser() -> argparse.ArgumentParser:
     top = _Parser(prog="gydet", description=__doc__.splitlines()[0])
-    top.add_argument("--threads", type=int, default=None, help="BLAS thread cap")
     sub = top.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("det", help="compute one determinant", parents=[])
@@ -389,12 +341,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        threads = _default_threads(args)
-        requested = threads is not None
-        if not requested and args.command == "bench":
-            threads = 1  # stable single-threaded timings by default
-        with _thread_limit(threads, note=requested):
-            return args.fn(args)
+        return args.fn(args)
     except (UsageError, ValueError) as exc:
         # ValueError is how the library rejects invalid inputs (lattice
         # extents, dimensions, potential ranges)

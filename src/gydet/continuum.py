@@ -35,28 +35,41 @@ Mode-space truncation of a genuinely two-dimensional potential is only
 guaranteed to converge in K for finite-rank or summably decaying mode
 couplings.  A constant mass couples every mode equally and the truncated
 ratio grows like (m^2 W L / 2 pi) ln 2 per doubling of K; that logarithmic
-drift is a real continuum feature, reported rather than hidden (see
-check_truncation).
+drift is a real continuum feature, measured by two calls as
+ratio(K) - ratio(K // 2).
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
-from .errors import NonConvergentRatio, NonConvergentTruncation, SignChange, SingularCrossing
+from .errors import NonConvergentRatio, SignChange, SingularCrossing
 from .gy import _aform_logdet, scalar_logdet
 from .logdet import LogDet
 from .quadrature import adaptive_quad
 
 MIN_STEPS = 64
 MAX_STEPS = 1 << 16
+#: absolute tolerance of each sine-basis quadrature of a position-space V
+QUAD_TOL = 1e-10
+
+
+def _check_length(name: str, value: float) -> None:
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be finite and positive, got {value}")
+
+
+def _check_tol(tol: float) -> None:
+    # the convergence test needs tol > 0, and the Riccati start x0 = L tol
+    # must lie inside (0, L)
+    if not 0 < tol < 1:
+        raise ValueError(f"tol must be in (0, 1), got {tol}")
 
 
 @dataclass(frozen=True)
@@ -68,8 +81,7 @@ class Potential1D:
     L: float
 
     def __post_init__(self):
-        if not self.L > 0:
-            raise ValueError(f"L must be positive, got {self.L}")
+        _check_length("L", self.L)
 
     @classmethod
     def constant(cls, c: float, L: float) -> "Potential1D":
@@ -84,8 +96,6 @@ class RatioResult:
     log_ratio: float
     step_count: int
     estimated_error: float
-    K_used: int = 0
-    truncation_gap: Optional[float] = None
 
 
 def _extrapolate(run: Callable[[int], float], tol: float, order: int, step: int) -> RatioResult:
@@ -96,8 +106,6 @@ def _extrapolate(run: Callable[[int], float], tol: float, order: int, step: int)
     tol * max(1, |value|); raises NonConvergentRatio if that has not
     happened by MAX_STEPS, and SignChange if a sweep meets a singular pivot.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     prev: list[float] = []
     n = MIN_STEPS
     while True:
@@ -169,8 +177,10 @@ def ratio_logdet_1d(pot: Potential1D, tol: float = 1e-10) -> RatioResult:
 
     Raises SignChange when y_V(L) <= 0 (a negative eigenvalue has been
     crossed and the real-valued ratio log is undefined) and
-    NonConvergentRatio when tol is not met by MAX_STEPS.
+    NonConvergentRatio when tol is not met by MAX_STEPS; tol must lie in
+    (0, 1).
     """
+    _check_tol(tol)
 
     def sweep(h2: float, nodes: list[float], vhat: Callable) -> LogDet:
         return _chains(h2 * np.array([[vhat(x)] for x in nodes]))
@@ -188,6 +198,7 @@ def ratio_logdet_1d_riccati(pot: Potential1D, tol: float = 1e-10) -> RatioResult
     x0 = L * tol (floored at 1e-12 L), making the start bias ~ V * x0^2
     negligible against tol.  Divergence of u signals a sign change of y.
     """
+    _check_tol(tol)
     L = pot.L
     x0 = L * max(tol, 1e-12)
     T = math.log(L / x0)
@@ -242,8 +253,7 @@ class TransversePotential2D:
         mode_matrix: Callable[[float, int], np.ndarray] | None = None,
         diagonal_modes: Callable[[float, int], np.ndarray] | None = None,
     ):
-        if not W > 0:
-            raise ValueError(f"W must be positive, got {W}")
+        _check_length("W", W)
         given = sum(f is not None for f in (position, mode_matrix, diagonal_modes))
         if given != 1:
             raise ValueError("give exactly one of position, mode_matrix, diagonal_modes")
@@ -268,7 +278,11 @@ class TransversePotential2D:
         cls, entries: dict[tuple[int, int], float], W: float
     ) -> "TransversePotential2D":
         """Constant-in-x mode-space coupling: entries maps (n, m) with
-        n, m >= 1 to the coupling strength; symmetrized automatically."""
+        integers n, m >= 1 to the coupling strength; symmetrized
+        automatically."""
+        for nm in entries:
+            if not all(isinstance(i, (int, np.integer)) and i >= 1 for i in nm):
+                raise ValueError(f"mode indices must be integers >= 1, got {nm}")
 
         def build(x: float, K: int) -> np.ndarray:
             V = np.zeros((K, K))
@@ -293,6 +307,7 @@ class TransversePotential2D:
         hull."""
         from .lattice import LatticeSpec, PotentialField
 
+        _check_length("L", L)
         spec = LatticeSpec(d=2, N=N, M=M)
         field = PotentialField.from_file(spec, path)
         # pad with the Dirichlet-style zero boundary so interpolation is
@@ -325,7 +340,7 @@ class TransversePotential2D:
             raise ValueError("potential is not stored mode-diagonally")
         return np.asarray(self._diagonal(x, K), dtype=float)
 
-    def matrix_elements(self, x: float, K: int, *, tol: float = 1e-10) -> np.ndarray:
+    def matrix_elements(self, x: float, K: int) -> np.ndarray:
         """K x K symmetric matrix of V-hat(x) in the sine basis."""
         if K < 1:
             raise ValueError(f"K must be >= 1, got {K}")
@@ -351,7 +366,7 @@ class TransversePotential2D:
                     * math.sin(math.pi * m * r / W),
                     0.0,
                     W,
-                    tol=tol,
+                    tol=QUAD_TOL,
                 )
                 V[n - 1, m - 1] = V[m - 1, n - 1] = norm * val
         return V
@@ -363,8 +378,6 @@ def ratio_logdet_2d_truncated(
     W: float,
     K: int,
     tol: float = 1e-8,
-    *,
-    check_truncation: bool = False,
 ) -> RatioResult:
     """ln(det H_V / det H_0) in the K-mode sine-basis truncation.
 
@@ -374,11 +387,12 @@ def ratio_logdet_2d_truncated(
     potentials, the A-form otherwise); V = 0 therefore returns exactly 0
     for every K.  Raises SignChange only when det H_V or det H_0 goes
     negative, and NonConvergentRatio when tol is not met by MAX_STEPS.
-    With check_truncation the value at K//2 is computed as well, their gap
-    reported in truncation_gap, and a NonConvergentTruncation warning is
-    issued when the gap exceeds 10 * tol (constant-mass couplings
-    genuinely diverge logarithmically in K; see the module docstring).
+    L and W must be finite and positive and tol must lie in (0, 1).  The
+    drift in K is ratio(K) - ratio(K // 2) (see the module docstring).
     """
+    _check_tol(tol)
+    _check_length("L", L)
+    _check_length("W", W)
     if K < 1:
         raise ValueError(f"K must be >= 1, got {K}")
     if abs(W - pot.W) > 1e-12 * max(1.0, abs(W)):
@@ -405,16 +419,4 @@ def ratio_logdet_2d_truncated(
             slices = (two + h2 * (om0 + vhat(x)) for x in nodes)
             return _aform_logdet(slices, K, len(nodes))
 
-    result = replace(_lattice_ratio(L, sweep, elements, zero, tol), K_used=K)
-    if check_truncation and K >= 2:
-        half = ratio_logdet_2d_truncated(pot, L, W, K // 2, tol)
-        gap = result.log_ratio - half.log_ratio
-        if abs(gap) > 10.0 * tol:
-            warnings.warn(
-                f"truncated ratio still moving in K: value(K={K}) - "
-                f"value(K={K // 2}) = {gap:.3e}",
-                NonConvergentTruncation,
-                stacklevel=2,
-            )
-        result = replace(result, truncation_gap=gap)
-    return result
+    return _lattice_ratio(L, sweep, elements, zero, tol)

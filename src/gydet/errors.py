@@ -71,7 +71,3 @@ class NonConvergentRatio(GydetError):
 
 class PotentialFileError(GydetError):
     """A potential file is malformed, has missing sites, or duplicates."""
-
-
-class NonConvergentTruncation(UserWarning):
-    """Truncated mode-space result still moving as K grows."""

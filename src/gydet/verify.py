@@ -255,12 +255,10 @@ CHECKS: list[tuple[str, Callable[[bool], Optional[str]]]] = [
 ]
 
 
-def run_suite(quick: bool = False, out=None) -> list[tuple[str, Optional[str]]]:
-    """Run every check; return (name, failure) pairs, failure None on a pass.
-
-    When out is given, one pass/fail line per check is printed to it;
-    with out None nothing is printed.  A check that raises counts as
-    failed, with the exception as its message.
+def run_suite(quick: bool = False) -> list[tuple[str, Optional[str]]]:
+    """Run every check, printing one pass/fail line per check to stdout;
+    return (name, failure) pairs, failure None on a pass.  A check that
+    raises counts as failed, with the exception as its message.
     """
     results = []
     for name, fn in CHECKS:
@@ -269,7 +267,6 @@ def run_suite(quick: bool = False, out=None) -> list[tuple[str, Optional[str]]]:
         except Exception as exc:  # surfaced as a failure, not a crash
             failure = f"raised {type(exc).__name__}: {exc}"
         results.append((name, failure))
-        if out is not None:
-            status = "PASS" if failure is None else f"FAIL  {failure}"
-            print(f"{name:32s} {status}", file=out)
+        status = "PASS" if failure is None else f"FAIL  {failure}"
+        print(f"{name:32s} {status}")
     return results

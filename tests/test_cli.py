@@ -1,6 +1,5 @@
 import json
 import math
-import sys
 
 import pytest
 
@@ -246,12 +245,10 @@ class TestBench:
         ],
         ids=["repeats-zero", "min-time-negative", "min-time-nan", "min-time-inf"],
     )
-    def test_rejects_bad_timing_flag(self, capsys, monkeypatch, argv, message):
-        monkeypatch.delenv("GYDET_THREADS", raising=False)
+    def test_rejects_bad_timing_flag(self, capsys, argv, message):
         code, out, err = run_cli(capsys, "bench", "--sizes", "4", "--methods", "gy-a", *argv)
         assert code == 1
         assert out == ""
-        # bench's default one-thread cap adds no note, applied or not
         assert err == f"gydet: error: {message}\n"
 
     @pytest.mark.parametrize(
@@ -262,8 +259,7 @@ class TestBench:
         ],
         ids=["method", "seed"],
     )
-    def test_rejected_before_output(self, capsys, monkeypatch, argv, message):
-        monkeypatch.delenv("GYDET_THREADS", raising=False)
+    def test_rejected_before_output(self, capsys, argv, message):
         code, out, err = run_cli(capsys, "bench", "--sizes", "4", *argv)
         assert code == 1
         assert out == ""
@@ -278,71 +274,19 @@ class TestBench:
         assert len([l for l in out.splitlines() if l.startswith("gy-a,4,")]) == 2
         assert out.splitlines()[-1] == "# slope gy-a nan (fewer than two distinct timed sizes)"
 
-    def test_rejects_other_dims(self, capsys):
-        code, _, err = run_cli(
-            capsys, "bench", "--dim", "3", "--sizes", "4", "--methods", "gy-a",
-        )
-        assert code == 1
-
-
-class TestThreads:
-    def test_thread_flag_accepted(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "--threads", "1", "det", "--dim", "1", "--size-n", "5",
-        )
-        assert code == 0
-        assert abs(json.loads(out)["log_abs_det"] - math.log(5)) < 1e-12
-
-    def test_env_default(self, capsys, monkeypatch):
-        monkeypatch.setenv("GYDET_THREADS", "1")
-        code, out, _ = run_cli(capsys, "det", "--dim", "1", "--size-n", "5")
-        assert code == 0
-
-    def test_env_not_an_integer(self, capsys, monkeypatch):
-        monkeypatch.setenv("GYDET_THREADS", "abc")
-        code, out, err = run_cli(capsys, "det", "--dim", "1", "--size-n", "5")
-        assert code == 1
-        assert out == ""
-        assert err == "gydet: error: GYDET_THREADS must be an integer, got 'abc'\n"
-
-    @pytest.mark.parametrize(
-        "argv, env, message",
-        [
-            (("--threads", "0"), None, "--threads must be >= 1, got 0"),
-            (("--threads", "-3"), None, "--threads must be >= 1, got -3"),
-            ((), "0", "GYDET_THREADS must be >= 1, got 0"),
-        ],
-        ids=["flag-zero", "flag-negative", "env-zero"],
-    )
-    def test_cap_below_one_is_usage_error(self, capsys, monkeypatch, argv, env, message):
-        # rejected before the cap is applied, so also without threadpoolctl
-        monkeypatch.setitem(sys.modules, "threadpoolctl", None)
-        if env is None:
-            monkeypatch.delenv("GYDET_THREADS", raising=False)
-        else:
-            monkeypatch.setenv("GYDET_THREADS", env)
-        code, out, err = run_cli(capsys, *argv, "det", "--size-n", "5")
-        assert code == 1
-        assert out == ""
-        assert err == f"gydet: error: {message}\n"
-
-    def test_unapplied_cap_says_so(self, capsys, monkeypatch):
-        monkeypatch.setitem(sys.modules, "threadpoolctl", None)
-        code, _, err = run_cli(
-            capsys, "--threads", "3", "det", "--dim", "1", "--size-n", "5",
-        )
-        assert code == 0
-        assert "--threads 3 not applied: threadpoolctl is not installed" in err
-
-    def test_bench_default_cap_has_no_note(self, capsys, monkeypatch):
-        monkeypatch.setitem(sys.modules, "threadpoolctl", None)
-        monkeypatch.delenv("GYDET_THREADS", raising=False)
+    def test_writes_nothing_to_stderr(self, capsys):
         code, _, err = run_cli(
             capsys, "bench", "--sizes", "4,6", "--methods", "gy-a",
             "--repeats", "1", "--min-time", "0.005",
         )
         assert code == 0
-        assert "--threads" not in err
+        assert err == ""
+
+    def test_rejects_other_dims(self, capsys):
+        code, _, err = run_cli(
+            capsys, "bench", "--dim", "3", "--sizes", "4", "--methods", "gy-a",
+        )
+        assert code == 1
 
 
 class TestVerify:
