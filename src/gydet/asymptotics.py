@@ -180,7 +180,13 @@ def massive_asymptotic_logdet(m2: float, N: int, M: int) -> AsymptoticBreakdown:
 def massless_modular_term(N: int, M: int) -> float:
     """ln(q^(1/24) (N/M)^(1/4) P(q)) with q = e^(-2 pi N / M), assembled in
     log space: the q^(1/24) factor enters as -pi N / (12 M) directly, so a
-    long thin lattice underflows q (P -> 1) without losing the term."""
+    long thin lattice underflows q (P -> 1) without losing the term.  The
+    term is exchange-invariant, so N and M are swapped when N < M: then
+    q <= e^(-2 pi) and P(q) converges fast instead of summing many
+    inaccurate factors at q near 1.
+    """
+    if N < M:
+        N, M = M, N
     q = math.exp(-2.0 * math.pi * N / M)
     return -math.pi * N / (12.0 * M) + 0.25 * math.log(N / M) + euler_product_log(q)
 

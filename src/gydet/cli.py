@@ -4,15 +4,20 @@ Subcommands:
 
   det     one determinant by any method; JSON record on stdout
   asym    asymptotic breakdown, optionally against the exact oracle; JSON
-  bench   timing sweep over sizes for gy-a / dense; CSV with slope fits
+  bench   timing sweep over sizes for gy-a / dense on a seed-0 uniform
+          [-1, 1) potential; CSV with slope fits
   verify  cross-method check suite; pass/fail table, exit 3 on failure
 
-Data goes to stdout, logs to stderr.  Exit codes: 0 success, 1 usage
-error, 2 singular crossing (a sweep pivot below threshold, or an exact
-zero pivot in the dense factorization), 3 failed verification.  JSON
-floats are printed as the shortest string that round-trips exactly; inf
-and nan, which JSON lacks, are printed as null.  The BLAS thread count is
-set before launch, with OPENBLAS_NUM_THREADS or OMP_NUM_THREADS.
+Each input is checked in one place: argparse checks the shape of the
+flags (the three potential flags are mutually exclusive), the library
+checks the values and raises ValueError, and `main` only maps exceptions
+to exit codes.  Data goes to stdout, logs to stderr.  Exit codes: 0
+success, 1 usage error, 2 singular crossing (a sweep pivot below
+threshold, or an exact zero pivot in the dense factorization), 3 failed
+verification.  JSON floats are printed as the shortest string that
+round-trips exactly; inf and nan, which JSON lacks, are printed as null.
+The BLAS thread count is set before launch, with OPENBLAS_NUM_THREADS or
+OMP_NUM_THREADS.
 """
 
 from __future__ import annotations
@@ -23,8 +28,6 @@ import json
 import math
 import sys
 import time
-
-from .lattice import DENSE_CAP
 
 USAGE_EXIT = 1
 SINGULAR_EXIT = 2
@@ -65,17 +68,6 @@ def _build_problem(args):
     from .lattice import LatticeSpec, PotentialField
 
     spec = LatticeSpec(d=args.dim, N=args.size_n, M=args.size_m)
-    chosen = [
-        name
-        for name, val in (
-            ("--mass2", args.mass2),
-            ("--potential-file", args.potential_file),
-            ("--random-seed", args.random_seed),
-        )
-        if val is not None
-    ]
-    if len(chosen) > 1:
-        raise UsageError(f"conflicting potential flags: {', '.join(chosen)}")
     seed = None
     if args.potential_file is not None:
         pot = PotentialField.from_file(spec, args.potential_file)
@@ -92,47 +84,38 @@ def _build_problem(args):
     return spec, pot, desc, seed
 
 
-class UsageError(Exception):
-    pass
-
-
-def _compute_logdet(method: str, spec, pot, args):
+def _compute_logdet(method: str, spec, pot):
     from . import gy, oracles
     from .logdet import dense_logdet
     from .lattice import build_interior_hamiltonian
 
     if method in ("eigenproduct", "sinh-product"):
         if pot.provenance[0] != "constant":
-            raise UsageError(
+            raise ValueError(
                 f"--method {method} needs a constant mass (it is a closed "
                 "form for -Delta + m^2); it conflicts with "
                 "--potential-file/--random-seed"
             )
         if spec.d != 2:
-            raise UsageError(f"--method {method} is specific to --dim 2")
+            raise ValueError(f"--method {method} is specific to --dim 2")
         m2 = pot.provenance[1]
-        if m2 < 0:
-            raise UsageError(f"--method {method} needs m2 >= 0")
         if method == "eigenproduct":
             return oracles.eigenproduct_logdet_2d(m2, spec.N, spec.M)
         return oracles.sinh_product_logdet(m2, spec.N, spec.M)
     if method == "dense":
-        H = build_interior_hamiltonian(spec, pot, cap=args.dense_cap)
-        return dense_logdet(H)
+        return dense_logdet(build_interior_hamiltonian(spec, pot))
     if method == "gy-a":
         if spec.d == 1:
             return gy.scalar_logdet(pot.values[:, 0])
         return gy.matrix_logdet_aform(spec, pot)
-    if method == "gy-y":
-        # K = 1 matrix recursion doubles as the d = 1 growing-solution path
-        return gy.matrix_logdet_yform(spec, pot)
-    raise UsageError(f"unknown method {method}")
+    # gy-y: the K = 1 matrix recursion doubles as the d = 1 growing-solution path
+    return gy.matrix_logdet_yform(spec, pot)
 
 
 def cmd_det(args) -> int:
     spec, pot, desc, seed = _build_problem(args)
     t0 = time.perf_counter()
-    ld = _compute_logdet(args.method, spec, pot, args)
+    ld = _compute_logdet(args.method, spec, pot)
     wall = time.perf_counter() - t0
     record = {
         "method": args.method,
@@ -156,8 +139,6 @@ def cmd_asym(args) -> int:
     from . import asymptotics, oracles
 
     N, M = args.size_n, args.size_m
-    if args.mass2 < 0:
-        raise UsageError("--mass2 must be >= 0")
     if args.mass2 == 0.0:
         b = asymptotics.massless_asymptotic_logdet(N, M)
         regime = "massless"
@@ -210,29 +191,25 @@ def cmd_bench(args) -> int:
     from .logdet import dense_logdet
     from .errors import SizeCapExceeded
 
-    if args.dim != 2:
-        raise UsageError("bench supports --dim 2 only")
     if args.repeats < 1:
-        raise UsageError(f"--repeats must be >= 1, got {args.repeats}")
+        raise ValueError(f"--repeats must be >= 1, got {args.repeats}")
     if not (math.isfinite(args.min_time) and args.min_time >= 0):
-        raise UsageError(f"--min-time must be finite and >= 0, got {args.min_time}")
+        raise ValueError(f"--min-time must be finite and >= 0, got {args.min_time}")
     unknown = [m for m in args.methods if m not in ("gy-a", "dense")]
     if unknown:
-        raise UsageError(f"bench methods must be gy-a or dense, got {', '.join(unknown)}")
+        raise ValueError(f"bench methods must be gy-a or dense, got {', '.join(unknown)}")
     # every input is built before the header, so a bad one prints nothing
-    lo, hi = args.random_range
     problems = []
     for n in args.sizes:
         spec = LatticeSpec(d=2, N=n, M=n)
-        pot = PotentialField.random_uniform(spec, seed=args.random_seed, lo=lo, hi=hi)
-        problems.append((n, spec, pot))
+        problems.append((n, spec, PotentialField.random_uniform(spec, seed=0)))
     print("method,N,median_seconds,log_abs_det")
     for method in args.methods:
         fitted: list[tuple[int, float]] = []
         for n, spec, pot in problems:
             if method == "dense":
                 try:
-                    H = build_interior_hamiltonian(spec, pot, cap=args.dense_cap)
+                    H = build_interior_hamiltonian(spec, pot)
                 except SizeCapExceeded:
                     print(f"dense,{n},skipped,skipped")
                     continue
@@ -270,13 +247,18 @@ def cmd_verify(args) -> int:
     return 0
 
 
-def _add_lattice_flags(p: argparse.ArgumentParser):
+def build_parser() -> argparse.ArgumentParser:
+    top = _Parser(prog="gydet", description=__doc__.splitlines()[0])
+    sub = top.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("det", help="compute one determinant")
     p.add_argument("--dim", type=int, default=2, help="dimensionality d >= 1")
     p.add_argument("--size-n", type=int, required=True, help="longitudinal extent N")
     p.add_argument("--size-m", type=int, default=2, help="transverse extent M (per direction)")
-    p.add_argument("--mass2", type=float, default=None, help="constant potential m^2")
-    p.add_argument("--potential-file", default=None, help="site potential file")
-    p.add_argument("--random-seed", type=int, default=None, help="seeded uniform potential")
+    potential = p.add_mutually_exclusive_group()
+    potential.add_argument("--mass2", type=float, default=None, help="constant potential m^2")
+    potential.add_argument("--potential-file", default=None, help="site potential file")
+    potential.add_argument("--random-seed", type=int, default=None, help="seeded uniform potential")
     p.add_argument(
         "--random-range",
         type=float,
@@ -285,15 +267,6 @@ def _add_lattice_flags(p: argparse.ArgumentParser):
         metavar=("LO", "HI"),
         help="uniform range for --random-seed (default -1 1)",
     )
-    p.add_argument("--dense-cap", type=int, default=DENSE_CAP, help="dense row cap")
-
-
-def build_parser() -> argparse.ArgumentParser:
-    top = _Parser(prog="gydet", description=__doc__.splitlines()[0])
-    sub = top.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("det", help="compute one determinant", parents=[])
-    _add_lattice_flags(p)
     p.add_argument(
         "--method",
         choices=["gy-a", "gy-y", "dense", "eigenproduct", "sinh-product"],
@@ -309,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_asym)
 
     p = sub.add_parser("bench", help="scaling benchmark (CSV)")
-    p.add_argument("--dim", type=int, default=2)
+    p.add_argument("--dim", type=int, choices=[2], default=2)
     p.add_argument(
         "--sizes",
         type=lambda s: [int(t) for t in s.split(",")],
@@ -324,9 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--repeats", type=int, default=3, help="timings per row (median)")
     p.add_argument("--min-time", type=float, default=0.05, help="calibration floor per timing, seconds")
-    p.add_argument("--random-seed", type=int, default=0)
-    p.add_argument("--random-range", type=float, nargs=2, default=(-1.0, 1.0), metavar=("LO", "HI"))
-    p.add_argument("--dense-cap", type=int, default=DENSE_CAP)
     p.set_defaults(fn=cmd_bench)
 
     p = sub.add_parser("verify", help="cross-method verification suite")
@@ -342,15 +312,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (UsageError, ValueError) as exc:
-        # ValueError is how the library rejects invalid inputs (lattice
-        # extents, dimensions, potential ranges)
-        print(f"gydet: error: {exc}", file=sys.stderr)
-        return USAGE_EXIT
     except (SingularCrossing, SingularMatrix) as exc:
         print(f"gydet: singular crossing: {exc}", file=sys.stderr)
         return SINGULAR_EXIT
-    except GydetError as exc:
+    except (ValueError, GydetError) as exc:
+        # ValueError is how the library rejects invalid inputs (lattice
+        # extents, dimensions, potential ranges, masses)
         print(f"gydet: error: {exc}", file=sys.stderr)
         return USAGE_EXIT
 

@@ -51,6 +51,7 @@ import numpy as np
 
 from .errors import NonConvergentRatio, SignChange, SingularCrossing
 from .gy import _aform_logdet, scalar_logdet
+from .lattice import _check_int
 from .logdet import LogDet
 from .quadrature import adaptive_quad
 
@@ -393,6 +394,7 @@ def ratio_logdet_2d_truncated(
     _check_tol(tol)
     _check_length("L", L)
     _check_length("W", W)
+    _check_int("K", K)
     if K < 1:
         raise ValueError(f"K must be >= 1, got {K}")
     if abs(W - pot.W) > 1e-12 * max(1.0, abs(W)):

@@ -19,6 +19,7 @@ threads.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -27,8 +28,16 @@ import numpy as np
 
 from .errors import PotentialFileError, SizeCapExceeded
 
-#: Dense construction is refused above this many rows unless overridden.
+#: Dense construction is refused above this many rows.
 DENSE_CAP = 20000
+
+
+def _check_int(name: str, value) -> None:
+    """Reject a non-integer extent, count or seed; int and numpy integers pass."""
+    try:
+        operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -46,6 +55,8 @@ class LatticeSpec:
     M: int = 2
 
     def __post_init__(self):
+        for name in ("d", "N", "M"):
+            _check_int(name, getattr(self, name))
         if self.d < 1:
             raise ValueError(f"d must be >= 1, got {self.d}")
         if self.N < 2:
@@ -106,6 +117,7 @@ class PotentialField:
             raise ValueError(f"empty interval [{lo}, {hi})")
         if not math.isfinite(hi - lo):
             raise ValueError(f"interval [{lo}, {hi}) is too wide: hi - lo must be finite")
+        _check_int("seed", seed)
         if not 0 <= seed < 2**64:
             raise ValueError(f"seed must be in [0, 2**64), got {seed}")
         rng = np.random.default_rng(np.uint64(seed))
@@ -219,22 +231,21 @@ def transverse_laplacian(spec: LatticeSpec) -> np.ndarray:
     return _transverse_laplacian_cached(spec.d, spec.M)
 
 
-def build_interior_hamiltonian(
-    spec: LatticeSpec, pot: PotentialField, *, cap: int = DENSE_CAP
-) -> np.ndarray:
+def build_interior_hamiltonian(spec: LatticeSpec, pot: PotentialField) -> np.ndarray:
     """Dense (N-1)K x (N-1)K matrix of -Delta_d + V on interior sites.
 
     Block tridiagonal: diagonal blocks 2I - Delta_{d-1} + V_i, off-diagonal
     blocks -I.  It is the sparse stencil `_laplacian` on the whole interior
-    box, made dense, with V added to its diagonal.  Refused above the row
-    cap; large problems belong on the recursion route.
+    box, made dense, with V added to its diagonal.  Refused with
+    SizeCapExceeded above DENSE_CAP rows, before anything is built; large
+    problems belong on the recursion route.
     """
     if pot.spec != spec:
         raise ValueError("potential was built for a different lattice")
     n = spec.n_interior
-    if n > cap:
+    if n > DENSE_CAP:
         raise SizeCapExceeded(
-            f"dense operator would have {n} rows (cap {cap}); "
+            f"dense operator would have {n} rows (cap {DENSE_CAP}); "
             "use the recursion route for problems this size"
         )
     H = _laplacian((spec.N - 1,) + spec.transverse_shape()).toarray()

@@ -25,7 +25,7 @@ import math
 import numpy as np
 
 from .logdet import Diagnostics, LogDet
-from .lattice import transverse_eigenvalues
+from .lattice import _check_int, transverse_eigenvalues
 
 
 def _check_m2(m2: float) -> None:
@@ -68,6 +68,8 @@ def sinh_product_logdet(m2: float, N: int, M: int) -> LogDet:
     grow with the number of additions.
     """
     _check_m2(m2)
+    _check_int("N", N)
+    _check_int("M", M)
     if N < 2 or M < 2:
         raise ValueError("N and M must be >= 2")
     terms = []
@@ -91,6 +93,8 @@ def eigenproduct_logdet_2d(m2: float, N: int, M: int) -> LogDet:
     strictly positive for finite N, M, so the sign is always +.
     """
     _check_m2(m2)
+    _check_int("N", N)
+    _check_int("M", M)
     if N < 2 or M < 2:
         raise ValueError("N and M must be >= 2")
     eigs = m2 - transverse_eigenvalues(N)[:, None] - transverse_eigenvalues(M)[None, :]

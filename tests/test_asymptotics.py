@@ -240,6 +240,23 @@ class TestMasslessAsymptotic:
         for (N, M) in ((3, 7), (4, 16), (5, 9), (2, 30)):
             assert abs(massless_modular_term(N, M) - massless_modular_term(M, N)) < 1e-12
 
+    def test_raw_series_modular_identity(self):
+        # massless_modular_term swaps N < M, so it is symmetric by
+        # construction; the identity itself is checked on the series
+        def raw(N, M):
+            q = math.exp(-2.0 * math.pi * N / M)
+            return -math.pi * N / (12.0 * M) + 0.25 * math.log(N / M) + euler_product_log(q)
+
+        for (N, M) in ((3, 7), (4, 16), (5, 9)):
+            assert abs(raw(N, M) - raw(M, N)) < 1e-12
+
+    def test_thin_lattice_pinned(self):
+        # 40-digit value of -pi 1e6 / 24 + ln(5e5) / 4 (q = e^(-pi 1e6), so
+        # ln P(q) is far below double precision); summing the Euler product
+        # at q = e^(-2 pi 2 / 1e6) instead is off by 1.6e-7
+        want = -130896.4133087303671870781
+        assert abs(massless_modular_term(2, 10**6) - want) < 1e-10
+
     def test_extreme_aspect_ratio_survives_underflow(self):
         # q underflows to zero; the q^(1/24) piece must survive in log space
         b = massless_asymptotic_logdet(500, 2)

@@ -1,11 +1,17 @@
+import argparse
 import json
 import math
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
 import gydet.oracles
 from gydet import verify
-from gydet.cli import json_17g, main
+from gydet.cli import build_parser, json_17g, main
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run_cli(capsys, *argv):
@@ -97,12 +103,13 @@ class TestDet:
         assert abs(json.loads(out)["log_abs_det"] - math.log(55)) < 1e-12
 
     def test_conflicting_flags_usage_error(self, capsys):
-        code, _, err = run_cli(
-            capsys, "det", "--dim", "2", "--size-n", "4", "--size-m", "4",
-            "--mass2", "1", "--random-seed", "3",
-        )
-        assert code == 1
-        assert "conflicting" in err
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "det", "--dim", "2", "--size-n", "4", "--size-m", "4",
+                "--mass2", "1", "--random-seed", "3",
+            ])
+        assert exc.value.code == 1
+        assert "not allowed with argument" in capsys.readouterr().err
 
     def test_eigenproduct_with_random_potential_rejected(self, capsys):
         code, _, err = run_cli(
@@ -149,10 +156,19 @@ class TestDet:
                 ("asym", "--mass2", "inf", "--size-n", "8", "--size-m", "8"),
                 "massive asymptotic requires finite m2 > 0, got inf",
             ),
+            (
+                ("det", "--size-n", "4", "--method", "sinh-product", "--mass2", "-1"),
+                "m2 must be finite and >= 0, got -1.0",
+            ),
+            (
+                ("asym", "--mass2", "-1", "--size-n", "8", "--size-m", "8"),
+                "massive asymptotic requires finite m2 > 0, got -1.0",
+            ),
         ],
         ids=[
             "det-size-n", "det-dim", "det-random-range", "asym-size-n", "det-random-seed",
             "det-random-range-unbounded", "asym-mass2-nan", "asym-mass2-inf",
+            "det-sinh-product-mass2-negative", "asym-mass2-negative",
         ],
     )
     def test_invalid_input_is_usage_error(self, capsys, argv, message):
@@ -219,12 +235,12 @@ class TestBench:
 
     def test_dense_cap_skips_rows(self, capsys):
         code, out, _ = run_cli(
-            capsys, "bench", "--dim", "2", "--sizes", "4,40",
+            capsys, "bench", "--dim", "2", "--sizes", "4,150",
             "--methods", "dense", "--repeats", "1", "--min-time", "0.005",
-            "--dense-cap", "100",
         )
         assert code == 0
-        assert "dense,40,skipped,skipped" in out
+        # 149^2 = 22201 rows is over DENSE_CAP
+        assert "dense,150,skipped,skipped" in out
 
     def test_methods_agree_on_overlap(self, capsys):
         _, out, _ = run_cli(
@@ -253,11 +269,8 @@ class TestBench:
 
     @pytest.mark.parametrize(
         "argv, message",
-        [
-            (("--methods", "gy-a,gy-y"), "bench methods must be gy-a or dense, got gy-y"),
-            (("--random-seed", str(2**64)), f"seed must be in [0, 2**64), got {2**64}"),
-        ],
-        ids=["method", "seed"],
+        [(("--methods", "gy-a,gy-y"), "bench methods must be gy-a or dense, got gy-y")],
+        ids=["method"],
     )
     def test_rejected_before_output(self, capsys, argv, message):
         code, out, err = run_cli(capsys, "bench", "--sizes", "4", *argv)
@@ -282,11 +295,30 @@ class TestBench:
         assert code == 0
         assert err == ""
 
-    def test_rejects_other_dims(self, capsys):
-        code, _, err = run_cli(
-            capsys, "bench", "--dim", "3", "--sizes", "4", "--methods", "gy-a",
-        )
-        assert code == 1
+    def test_rejects_other_dims(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--dim", "3", "--sizes", "4", "--methods", "gy-a"])
+        assert exc.value.code == 1
+
+
+def test_readme_matches_parser():
+    text = README.read_text()
+    block = text.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    examples = [line for line in block.splitlines() if line.startswith("gydet ")]
+    assert examples
+    parser = build_parser()
+    for line in examples:
+        parser.parse_args(shlex.split(line)[1:])
+    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    undocumented = [
+        f"{name} {option}"
+        for name, sub in subparsers.choices.items()
+        for action in sub._actions
+        for option in action.option_strings
+        if option not in ("-h", "--help")
+        and not re.search(rf"(?<![\w-]){re.escape(option)}(?![\w-])", text)
+    ]
+    assert undocumented == []
 
 
 class TestVerify:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from gydet.continuum import TransversePotential2D, ratio_logdet_2d_truncated
 from gydet.errors import PotentialFileError, SizeCapExceeded
 from gydet.lattice import (
     LatticeSpec,
@@ -10,6 +11,7 @@ from gydet.lattice import (
     transverse_laplacian,
     transverse_slice,
 )
+from gydet.oracles import eigenproduct_logdet_2d, sinh_product_logdet
 
 
 def grid_stencil(spec, pot, psi):
@@ -46,6 +48,28 @@ class TestLatticeSpec:
     def test_rejects_bad_extents(self, kwargs):
         with pytest.raises(ValueError):
             LatticeSpec(**kwargs)
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: LatticeSpec(2, 4.0, 4), "N"),
+    (lambda: LatticeSpec(2.0, 4, 4), "d"),
+    (lambda: LatticeSpec(2, 4, 4.5), "M"),
+    (lambda: PotentialField.random_uniform(LatticeSpec(1, 4), seed=1.5), "seed"),
+    (lambda: sinh_product_logdet(1.0, 4.5, 4), "N"),
+    (lambda: sinh_product_logdet(1.0, 4, 4.5), "M"),
+    (lambda: eigenproduct_logdet_2d(1.0, 4.5, 4), "N"),
+    (lambda: ratio_logdet_2d_truncated(TransversePotential2D.constant(1.0, 1.0), 1.0, 1.0, K=2.5), "K"),
+], ids=["spec-N", "spec-d", "spec-M", "seed", "sinh-N", "sinh-M", "eigen-N", "continuum-K"])
+def test_integer_arguments_checked(call, name):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+        call()
+
+
+def test_numpy_integer_arguments_accepted():
+    spec = LatticeSpec(np.int64(2), np.int64(4), np.int64(3))
+    PotentialField.random_uniform(spec, seed=np.uint64(7))
+    pot = TransversePotential2D.constant(1.0, 1.0)
+    ratio_logdet_2d_truncated(pot, 1.0, 1.0, K=np.int64(3))
 
 
 class TestPotentialField:
@@ -249,7 +273,7 @@ class TestHamiltonian:
         spec = LatticeSpec(d=2, N=200, M=200)
         pot = PotentialField.constant(spec, 0.0)
         with pytest.raises(SizeCapExceeded, match="recursion"):
-            build_interior_hamiltonian(spec, pot, cap=1000)
+            build_interior_hamiltonian(spec, pot)
 
     def test_potential_spec_mismatch(self):
         pot = PotentialField.constant(LatticeSpec(d=2, N=3, M=3), 0.0)
