@@ -52,7 +52,6 @@ from .oracles import (
 from .asymptotics import (
     CATALAN,
     AsymptoticBreakdown,
-    catalan,
     g_of_m,
     massive_asymptotic_logdet,
     massless_asymptotic_logdet,
@@ -91,7 +90,6 @@ __all__ = [
     "SizeCapExceeded",
     "TransversePotential2D",
     "build_interior_hamiltonian",
-    "catalan",
     "dense_logdet",
     "eigenproduct_logdet_2d",
     "g_of_m",

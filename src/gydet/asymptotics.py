@@ -26,37 +26,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .lattice import _check_int
 from .oracles import _acosh1p, _check_m2
 from .quadrature import adaptive_quad
 
-_LOG2 = math.log(2.0)
 _LN_SILVER = math.log(1.0 + math.sqrt(2.0))  # ln(1 + sqrt 2)
-# Terms of the accelerated Catalan series; its error decays like
-# (3 + sqrt 8)^-n, so 40 terms is far past double precision.
-_CATALAN_TERMS = 40
+# Catalan's constant G, correctly rounded to double precision
+CATALAN = 0.915965594177219
 # Absolute tolerances of the quad_I1 and quad_I2 integrals.
 _I1_TOL = 1e-12
 _I2_TOL = 1e-10
-
-
-def catalan() -> float:
-    """Catalan constant from the alternating series sum (-1)^k / (2k+1)^2,
-    convergence-accelerated (Chebyshev-weighted partial sums of
-    _CATALAN_TERMS terms)."""
-    n = _CATALAN_TERMS
-    d = (3.0 + math.sqrt(8.0)) ** n
-    d = 0.5 * (d + 1.0 / d)
-    b = -1.0
-    c = -d
-    s = 0.0
-    for k in range(n):
-        c = b - c
-        s += c / (2 * k + 1) ** 2
-        b = (k + n) * (k - n) * b / ((k + 0.5) * (k + 1.0))
-    return s / d
-
-
-CATALAN = catalan()
 
 
 def euler_product_log(q: float) -> float:
@@ -166,6 +145,8 @@ def massive_asymptotic_logdet(m2: float, N: int, M: int) -> AsymptoticBreakdown:
     """
     if not (math.isfinite(m2) and m2 > 0):
         raise ValueError(f"massive asymptotic requires finite m2 > 0, got {m2}")
+    _check_int("N", N)
+    _check_int("M", M)
     if N < 2 or M < 2:
         raise ValueError("N and M must be >= 2")
     return AsymptoticBreakdown.build(
@@ -198,6 +179,8 @@ def massless_asymptotic_logdet(N: int, M: int) -> AsymptoticBreakdown:
             + (1/2) ln(4 sqrt 2) + modular term; exchange-symmetric in
     (N, M) thanks to the modular identity of the final logarithm.
     """
+    _check_int("N", N)
+    _check_int("M", M)
     if N < 2 or M < 2:
         raise ValueError("N and M must be >= 2")
     return AsymptoticBreakdown.build(

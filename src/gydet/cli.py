@@ -67,13 +67,15 @@ def _build_problem(args):
     """(spec, potential, descriptor, seed) from det/bench style flags."""
     from .lattice import LatticeSpec, PotentialField
 
+    if args.random_range is not None and args.random_seed is None:
+        raise ValueError("--random-range needs --random-seed")
     spec = LatticeSpec(d=args.dim, N=args.size_n, M=args.size_m)
     seed = None
     if args.potential_file is not None:
         pot = PotentialField.from_file(spec, args.potential_file)
         desc = f"file({args.potential_file})"
     elif args.random_seed is not None:
-        lo, hi = args.random_range
+        lo, hi = args.random_range or (-1.0, 1.0)
         seed = args.random_seed
         pot = PotentialField.random_uniform(spec, seed=seed, lo=lo, hi=hi)
         desc = f"seeded-random(seed={seed}, lo={lo:g}, hi={hi:g})"
@@ -263,7 +265,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--random-range",
         type=float,
         nargs=2,
-        default=(-1.0, 1.0),
         metavar=("LO", "HI"),
         help="uniform range for --random-seed (default -1 1)",
     )

@@ -31,6 +31,10 @@ starting at x0 > 0 and the 1/x behaviour near the left end is handled by
 integrating u = x z on a logarithmic axis: u' = u - u^2 + x^2 V(x) in
 t = ln x, with u(x0) = 1, by classical RK4 on the same convergence loop.
 
+A position-space V(x, rho) enters through its sine-basis matrix, one
+Gauss-Legendre product per node (TransversePotential2D.matrix_elements),
+so V must be smooth in rho between the panel ends of that rule.
+
 Mode-space truncation of a genuinely two-dimensional potential is only
 guaranteed to converge in K for finite-rank or summably decaying mode
 couplings.  A constant mass couples every mode equally and the truncated
@@ -49,16 +53,23 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import NonConvergentRatio, SignChange, SingularCrossing
+from .errors import NonConvergentRatio, QuadratureError, SignChange, SingularCrossing
 from .gy import _aform_logdet, scalar_logdet
 from .lattice import _check_int
 from .logdet import LogDet
-from .quadrature import adaptive_quad
 
 MIN_STEPS = 64
 MAX_STEPS = 1 << 16
-#: absolute tolerance of each sine-basis quadrature of a position-space V
+#: max-norm gap of two successive rules at which matrix_elements stops
 QUAD_TOL = 1e-10
+
+
+@functools.cache
+def _gauss_legendre(J: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only J-point Gauss-Legendre rule on [-1, 1], made once per J."""
+    t, w = np.polynomial.legendre.leggauss(J)
+    t.flags.writeable = w.flags.writeable = False
+    return t, w
 
 
 def _check_length(name: str, value: float) -> None:
@@ -244,6 +255,12 @@ class TransversePotential2D:
     basis u_n(rho) = sqrt(2/W) sin(pi n rho / W).  Built-in constructors
     cover constant masses, separable products f(x) g(rho), finite-rank
     mode couplings, and tabulated grids with bilinear interpolation.
+
+    A position callable must be smooth in rho on each panel of the
+    Gauss-Legendre rule of matrix_elements: (0, W), or for from_grid_file
+    the cells between the grid lines rho = j W / M, where the interpolant
+    has its kinks.  A kink or a jump inside a panel raises QuadratureError;
+    give such a V as mode_matrix= instead.
     """
 
     def __init__(
@@ -260,6 +277,8 @@ class TransversePotential2D:
             raise ValueError("give exactly one of position, mode_matrix, diagonal_modes")
         self.W = W
         self._position = position
+        # ends of the Gauss-Legendre panels; from_grid_file sets its grid lines
+        self._panels = np.array([0.0, W])
         self._mode_matrix = mode_matrix
         self._diagonal = diagonal_modes
 
@@ -330,19 +349,15 @@ class TransversePotential2D:
                 + grid[i0 + 1, j0 + 1] * tx * tr
             )
 
-        return cls(W, position=position)
-
-    @property
-    def is_mode_diagonal(self) -> bool:
-        return self._diagonal is not None
-
-    def diagonal_modes(self, x: float, K: int) -> np.ndarray:
-        if self._diagonal is None:
-            raise ValueError("potential is not stored mode-diagonally")
-        return np.asarray(self._diagonal(x, K), dtype=float)
+        pot = cls(W, position=position)
+        pot._panels = W * np.arange(M + 1) / M
+        return pot
 
     def matrix_elements(self, x: float, K: int) -> np.ndarray:
-        """K x K symmetric matrix of V-hat(x) in the sine basis."""
+        """K x K symmetric matrix of V-hat(x) in the sine basis.  A position
+        callable is integrated with J = 2K + 16 Gauss-Legendre points per
+        panel, J doubled until two rules agree to QUAD_TOL in max norm;
+        QuadratureError after four rules."""
         if K < 1:
             raise ValueError(f"K must be >= 1, got {K}")
         if self._diagonal is not None:
@@ -355,22 +370,24 @@ class TransversePotential2D:
                 # the A-form sweep reads one triangle of each slice
                 raise ValueError("mode matrix is not symmetric")
             return V
-        W = self.W
-        norm = 2.0 / W
-        pos = self._position
-        V = np.empty((K, K))
-        for n in range(1, K + 1):
-            for m in range(n, K + 1):
-                val = adaptive_quad(
-                    lambda r: pos(x, r)
-                    * math.sin(math.pi * n * r / W)
-                    * math.sin(math.pi * m * r / W),
-                    0.0,
-                    W,
-                    tol=QUAD_TOL,
-                )
-                V[n - 1, m - 1] = V[m - 1, n - 1] = norm * val
-        return V
+        # V-hat = (2/W) S^T diag(w V(x, rho)) S with S[j, n] = sin(n pi rho_j / W)
+        half = 0.5 * np.diff(self._panels)[:, None]
+        mid = self._panels[:-1, None] + half
+        freq = math.pi / self.W * np.arange(1, K + 1)
+        J = 2 * K + 16
+        prev = np.inf
+        for _ in range(4):
+            t, w = _gauss_legendre(J)
+            rho = (mid + half * t).ravel()
+            f = [self._position(x, r) for r in rho.tolist()]
+            S = np.sin(np.outer(rho, freq))
+            V = (S.T * ((2.0 / self.W) * (half * w).ravel() * f)) @ S
+            err = float(np.abs(V - prev).max())
+            if err <= QUAD_TOL:
+                return np.triu(V) + np.triu(V, 1).T
+            prev = V
+            J *= 2
+        raise QuadratureError(err, QUAD_TOL)
 
 
 def ratio_logdet_2d_truncated(
@@ -401,18 +418,14 @@ def ratio_logdet_2d_truncated(
         raise ValueError("W disagrees with the potential's transverse extent")
     om0sq = (math.pi * np.arange(1, K + 1) / W) ** 2
 
-    if pot.is_mode_diagonal:
-        elements = functools.partial(pot.diagonal_modes, K=K)
+    if pot._diagonal is not None:
+        elements = lambda x: pot._diagonal(x, K)
         zero = np.zeros(K)
 
         def sweep(h2: float, nodes: list[float], vhat: Callable) -> LogDet:
             return _chains(h2 * (om0sq + np.array([vhat(x) for x in nodes])))
     else:
         elements = functools.partial(pot.matrix_elements, K=K)
-        if pot._position is not None:
-            # K(K+1)/2 quadratures a node; L i / n gives a node the same
-            # float at every doubling, so each is computed once
-            elements = functools.cache(elements)
         zero = np.zeros((K, K))
         two = 2.0 * np.eye(K)
         om0 = np.diag(om0sq)

@@ -183,6 +183,7 @@ class PotentialField:
 def transverse_eigenvalues(M: int) -> np.ndarray:
     """Eigenvalues lambda_k = -2(1 - cos(pi k / M)) of the one-dimensional
     transverse Laplacian, k = 1..M-1, strictly decreasing, all in (-4, 0)."""
+    _check_int("M", M)
     if M < 2:
         raise ValueError(f"M must be >= 2, got {M}")
     k = np.arange(1, M)

@@ -164,11 +164,17 @@ class TestDet:
                 ("asym", "--mass2", "-1", "--size-n", "8", "--size-m", "8"),
                 "massive asymptotic requires finite m2 > 0, got -1.0",
             ),
+            (
+                # used to run the zero potential and exit 0
+                ("det", "--size-n", "4", "--random-range", "0", "2"),
+                "--random-range needs --random-seed",
+            ),
         ],
         ids=[
             "det-size-n", "det-dim", "det-random-range", "asym-size-n", "det-random-seed",
             "det-random-range-unbounded", "asym-mass2-nan", "asym-mass2-inf",
             "det-sinh-product-mass2-negative", "asym-mass2-negative",
+            "det-random-range-without-seed",
         ],
     )
     def test_invalid_input_is_usage_error(self, capsys, argv, message):

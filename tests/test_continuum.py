@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.integrate
 
 from gydet.continuum import (
     MIN_STEPS,
@@ -11,7 +12,7 @@ from gydet.continuum import (
     ratio_logdet_1d_riccati,
     ratio_logdet_2d_truncated,
 )
-from gydet.errors import NonConvergentRatio, SignChange
+from gydet.errors import NonConvergentRatio, QuadratureError, SignChange
 from gydet.gy import scalar_logdet
 from gydet.oracles import log_sinh
 
@@ -240,6 +241,15 @@ class TestMatrixElements:
         with pytest.raises(ValueError):
             ratio_logdet_2d_truncated(pot, 1.0, 1.0, 3, tol=1e-8)
 
+    def test_kinked_position_callable_raises(self):
+        # |rho - 0.37| has a kink inside the one panel (0, W), where a
+        # Gauss-Legendre rule converges only algebraically
+        pot = TransversePotential2D(1.0, position=lambda x, r: (1 + x) * abs(r - 0.37))
+        with pytest.raises(QuadratureError) as info:
+            pot.matrix_elements(0.5, 8)
+        assert info.value.requested == 1e-10
+        assert info.value.achieved > 1e-10
+
     def test_mode_space_passthrough(self):
         want = np.array([[1.0, 0.25], [0.25, 2.0]])
         pot = TransversePotential2D(1.0, mode_matrix=lambda x, K: want[:K, :K])
@@ -368,7 +378,39 @@ class TestRatio2D:
             ratio_logdet_2d_truncated(pot, 1.0, 1.0, 4, tol=1e-8)
 
 
+def seeded_grid(tmp_path, N=8, M=6):
+    """Grid file of uniform values on [-1, 2) at the interior sites of an
+    N x M grid, seeded with default_rng(3)."""
+    vals = np.random.default_rng(3).uniform(-1.0, 2.0, size=(N - 1, M - 1))
+    path = tmp_path / "grid.txt"
+    sites = [(i, j) for i in range(1, N) for j in range(1, M)]
+    path.write_text("".join(f"{i} {j} {float(vals[i - 1, j - 1])!r}\n" for i, j in sites))
+    return path
+
+
 class TestGridFilePotential:
+    def test_matrix_elements_at_k64(self, tmp_path):
+        # the bilinear interpolant has a kink on every grid line; with the
+        # rule split there, the highest mode's row matches QUADPACK given
+        # the same breakpoints (without them, 60 of its 64 integrals fail)
+        N, M, K, x = 8, 6, 64, 0.3
+        pot = TransversePotential2D.from_grid_file(seeded_grid(tmp_path, N, M), N, M, 1.0, 1.0)
+        row = pot.matrix_elements(x, K)[K - 1]
+        lines = [j / M for j in range(1, M)]
+        for m in range(1, K + 1):
+            want, _ = scipy.integrate.quad(
+                lambda r: 2.0 * pot._position(x, r) * math.sin(K * math.pi * r)
+                * math.sin(m * math.pi * r),
+                0.0, 1.0, points=lines, epsabs=1e-13, epsrel=0.0, limit=200,
+            )
+            assert abs(row[m - 1] - want) <= 2e-10, m
+
+    def test_ratio_against_pinned_value(self, tmp_path):
+        # the QUADPACK-element route gave 0.10346570940423103 for this grid
+        pot = TransversePotential2D.from_grid_file(seeded_grid(tmp_path), 8, 6, 1.0, 1.0)
+        r = ratio_logdet_2d_truncated(pot, 1.0, 1.0, 4, tol=1e-8)
+        assert abs(r.log_ratio - 0.10346570940423103) <= 1e-11
+
     def test_bilinear_interpolation(self, tmp_path):
         # tabulate V(x, rho) = x * rho on a grid; interpolation must
         # reproduce it (bilinear is exact for bilinear functions)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from gydet.asymptotics import massive_asymptotic_logdet, massless_asymptotic_logdet
 from gydet.continuum import TransversePotential2D, ratio_logdet_2d_truncated
 from gydet.errors import PotentialFileError, SizeCapExceeded
 from gydet.lattice import (
@@ -59,7 +60,14 @@ class TestLatticeSpec:
     (lambda: sinh_product_logdet(1.0, 4, 4.5), "M"),
     (lambda: eigenproduct_logdet_2d(1.0, 4.5, 4), "N"),
     (lambda: ratio_logdet_2d_truncated(TransversePotential2D.constant(1.0, 1.0), 1.0, 1.0, K=2.5), "K"),
-], ids=["spec-N", "spec-d", "spec-M", "seed", "sinh-N", "sinh-M", "eigen-N", "continuum-K"])
+    # these three returned a number for a fractional extent
+    (lambda: massless_asymptotic_logdet(4.5, 4), "N"),
+    (lambda: massive_asymptotic_logdet(1.0, 4, 4.5), "M"),
+    (lambda: transverse_eigenvalues(4.5), "M"),
+], ids=[
+    "spec-N", "spec-d", "spec-M", "seed", "sinh-N", "sinh-M", "eigen-N", "continuum-K",
+    "massless-N", "massive-M", "eigenvalues-M",
+])
 def test_integer_arguments_checked(call, name):
     with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
         call()
