@@ -4,33 +4,35 @@ Massive case (m > 0):
 
     ln det = N*M*I1(m) - (N+M)/2 * g(m) + (1/4) ln(m^2 (m^2+4)^2 (m^2+8))
 
-with I1 the arccosh mode-density integral (no closed form) and
-g(m) = arccosh(1 + m^2/2) + arccosh(3 + m^2/2).  The neglected remainder
-is exponentially small in N; `gydet asym --with-exact` reports it as the
-discrepancy from the exact sinh product.
+with I1(m) the mean of the sinh product's decay rate gamma(lambda)
+(oracles.gamma_k) over the transverse band lambda = -4 sin^2(x/2), and
+g(m) = gamma(0) + gamma(-4) the sum of its band-edge values.  The
+neglected remainder is exponentially small in N; `gydet asym
+--with-exact` reports it as the discrepancy from the exact sinh product.
 
 Massless case:
 
-    ln det = (4G/pi) N M - (N+M) ln(1+sqrt 2) - (1/4) ln(N M)
+    ln det = (4G/pi) N M - (N+M)/2 g(0) - (1/4) ln(N M)
              + (1/2) ln(4 sqrt 2) + ln(q^(1/24) (N/M)^(1/4) P(q)),
 
-with G the Catalan constant, q = e^(-2 pi N / M) and P the Euler product
-prod (1 - q^k).  The last logarithm is invariant under exchanging N and M
-(the eta-function modular identity), which makes the whole expression
-symmetric; the modular term is assembled in log space so extreme aspect
-ratios merely underflow q to zero instead of destroying the term.
+with G the Catalan constant, g(0) = 2 ln(1 + sqrt 2), q = e^(-2 pi N / M)
+and P the Euler product prod (1 - q^k).  The last logarithm is invariant
+under exchanging N and M (the eta-function modular identity), which makes
+the whole expression symmetric; the modular term is assembled in log space
+so extreme aspect ratios merely underflow q to zero instead of destroying
+the term.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
-from .lattice import _check_int
-from .oracles import _acosh1p, _check_m2
-from .quadrature import adaptive_quad
+from .errors import QuadratureError
+from .lattice import LatticeSpec
+from .oracles import _check_m2, gamma_k
 
-_LN_SILVER = math.log(1.0 + math.sqrt(2.0))  # ln(1 + sqrt 2)
 # Catalan's constant G, correctly rounded to double precision
 CATALAN = 0.915965594177219
 # Absolute tolerances of the quad_I1 and quad_I2 integrals.
@@ -54,14 +56,31 @@ def euler_product_log(q: float) -> float:
         qk *= q
 
 
+def _integrate_0_pi(f: Callable[[float], float], tol: float) -> float:
+    """Integral of f over [0, pi] to absolute tolerance tol by scipy's
+    QUADPACK dqags.  QuadratureError when QUADPACK reports a failure, its
+    error estimate exceeds tol, or the value is not finite (an inf
+    integrand gives inf without a reported failure).  scipy.integrate is
+    imported here: with the module it adds a quarter second to start-up.
+    """
+    from scipy.integrate import quad
+
+    value, err, _info, *failure = quad(f, 0.0, math.pi, epsabs=tol, epsrel=0.0, full_output=1)
+    if failure or not (math.isfinite(value) and err <= tol):
+        raise QuadratureError(err, tol)
+    return value
+
+
 def g_of_m(m2: float) -> float:
-    """g(m) = arccosh(1 + m^2/2) + arccosh(3 + m^2/2), safe near m = 0."""
+    """g(m) = gamma(0) + gamma(-4), the decay rate at the two edges of the
+    transverse band: arccosh(1 + m^2/2) + arccosh(3 + m^2/2)."""
     _check_m2(m2)
-    return _acosh1p(m2 / 2.0) + _acosh1p(2.0 + m2 / 2.0)
+    return gamma_k(m2, 0.0) + gamma_k(m2, -4.0)
 
 
 def quad_I1(m2: float) -> float:
-    """Area density of the massive log-determinant:
+    """Area density of the massive log-determinant, the band mean of the
+    decay rate gamma(lambda) over lambda = -4 sin^2(x/2) = -2(1 - cos x):
 
         I1(m) = (1/pi) * integral_0^pi arccosh(1 + (m^2 + 2(1-cos x))/2) dx.
 
@@ -75,13 +94,9 @@ def quad_I1(m2: float) -> float:
     [0, 9].
     """
     _check_m2(m2)
-
-    def f(x):
-        # 2(1-cos x) = 4 sin^2(x/2), exact at the x -> 0 endpoint
-        t = (m2 + 4.0 * math.sin(0.5 * x) ** 2) / 2.0
-        return _acosh1p(t)
-
-    return adaptive_quad(f, 0.0, math.pi, tol=_I1_TOL * math.pi) / math.pi
+    # 2(1-cos x) = 4 sin^2(x/2), exact at the x -> 0 endpoint
+    f = lambda x: gamma_k(m2, -4.0 * math.sin(0.5 * x) ** 2)
+    return _integrate_0_pi(f, _I1_TOL * math.pi) / math.pi
 
 
 def quad_I2(m2: float) -> float:
@@ -102,7 +117,7 @@ def quad_I2(m2: float) -> float:
         c = math.cos(x)
         return math.log(m2 * m2 + 8.0 * m2 + 14.0 - 4.0 * (m2 + 4.0) * c + 2.0 * math.cos(2.0 * x))
 
-    return -adaptive_quad(f, 0.0, math.pi, tol=_I2_TOL * math.pi) / (2.0 * math.pi)
+    return -_integrate_0_pi(f, _I2_TOL * math.pi) / (2.0 * math.pi)
 
 
 @dataclass(frozen=True)
@@ -145,10 +160,7 @@ def massive_asymptotic_logdet(m2: float, N: int, M: int) -> AsymptoticBreakdown:
     """
     if not (math.isfinite(m2) and m2 > 0):
         raise ValueError(f"massive asymptotic requires finite m2 > 0, got {m2}")
-    _check_int("N", N)
-    _check_int("M", M)
-    if N < 2 or M < 2:
-        raise ValueError("N and M must be >= 2")
+    LatticeSpec(2, N, M)
     return AsymptoticBreakdown.build(
         area=N * M * quad_I1(m2),
         perimeter=-0.5 * (N + M) * g_of_m(m2),
@@ -175,17 +187,14 @@ def massless_modular_term(N: int, M: int) -> float:
 def massless_asymptotic_logdet(N: int, M: int) -> AsymptoticBreakdown:
     """Asymptotic ln det(-Delta_2) at large N, M.
 
-    total = (4G/pi) N M - (N+M) ln(1+sqrt 2) - (1/4) ln(N M)
+    total = (4G/pi) N M - (N+M)/2 g(0) - (1/4) ln(N M)
             + (1/2) ln(4 sqrt 2) + modular term; exchange-symmetric in
     (N, M) thanks to the modular identity of the final logarithm.
     """
-    _check_int("N", N)
-    _check_int("M", M)
-    if N < 2 or M < 2:
-        raise ValueError("N and M must be >= 2")
+    LatticeSpec(2, N, M)
     return AsymptoticBreakdown.build(
         area=(4.0 * CATALAN / math.pi) * N * M,
-        perimeter=-(N + M) * _LN_SILVER,
+        perimeter=-0.5 * (N + M) * g_of_m(0.0),
         log_t=-0.25 * math.log(float(N) * M),
         constant=0.5 * math.log(4.0 * math.sqrt(2.0)),
         modular=massless_modular_term(N, M),

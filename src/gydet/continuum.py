@@ -24,6 +24,8 @@ system runs through the same code with identical arithmetic, so a
 potential that evaluates to zero gives exactly 0.0.  A potential with a
 jump converges only at first order; a ratio that has not met its
 tolerance by MAX_STEPS raises NonConvergentRatio instead of being returned.
+A potential that is not finite where it is sampled raises ValueError
+naming that x.
 
 The first-order (Riccati) route z' = -z^2 + V is kept as an independent
 1-D check.  Its initial condition z(0) = infinity is regularized by
@@ -75,6 +77,14 @@ def _gauss_legendre(J: int) -> tuple[np.ndarray, np.ndarray]:
 def _check_length(name: str, value: float) -> None:
     if not (math.isfinite(value) and value > 0):
         raise ValueError(f"{name} must be finite and positive, got {value}")
+
+
+def _check_finite(v: np.ndarray, xs: list[float]) -> None:
+    """ValueError naming the first x in xs whose samples v[i] of the
+    potential are not finite."""
+    ok = np.isfinite(v).reshape(len(xs), -1).all(axis=1)
+    if not ok.all():
+        raise ValueError(f"potential is not finite at x = {xs[ok.argmin()]}")
 
 
 def _check_tol(tol: float) -> None:
@@ -195,7 +205,9 @@ def ratio_logdet_1d(pot: Potential1D, tol: float = 1e-10) -> RatioResult:
     _check_tol(tol)
 
     def sweep(h2: float, nodes: list[float], vhat: Callable) -> LogDet:
-        return _chains(h2 * np.array([[vhat(x)] for x in nodes]))
+        v = np.array([[vhat(x)] for x in nodes])
+        _check_finite(v, nodes)
+        return _chains(h2 * v)
 
     return _lattice_ratio(pot.L, sweep, pot.V, 0.0, tol)
 
@@ -240,6 +252,10 @@ def ratio_logdet_1d_riccati(pot: Potential1D, tol: float = 1e-10) -> RatioResult
             u += h / 6.0 * (k1 + 2.0 * (k2 + k3) + k4)
             w1 = w2
             if not math.isfinite(u):
+                # a non-finite sample makes u non-finite in its own step,
+                # whose first node is x0 or was sampled one step earlier
+                xs = [x0, xm, x2]
+                _check_finite(np.array([V(x) for x in xs]), xs)
                 raise SignChange("Riccati variable diverged: sign change")
         return math.log(x0) - math.log(L) + s
 
@@ -353,19 +369,28 @@ class TransversePotential2D:
         pot._panels = W * np.arange(M + 1) / M
         return pot
 
+    def _diagonal_modes(self, x: float, K: int) -> np.ndarray:
+        """The K diagonal entries of V-hat(x) of a mode-diagonal potential."""
+        d = np.asarray(self._diagonal(x, K), dtype=float)
+        if d.shape != (K,):
+            raise ValueError(f"diagonal modes have shape {d.shape}, expected {(K,)}")
+        return d
+
     def matrix_elements(self, x: float, K: int) -> np.ndarray:
         """K x K symmetric matrix of V-hat(x) in the sine basis.  A position
         callable is integrated with J = 2K + 16 Gauss-Legendre points per
         panel, J doubled until two rules agree to QUAD_TOL in max norm;
         QuadratureError after four rules."""
+        _check_int("K", K)
         if K < 1:
             raise ValueError(f"K must be >= 1, got {K}")
         if self._diagonal is not None:
-            return np.diag(self._diagonal(x, K))
+            return np.diag(self._diagonal_modes(x, K))
         if self._mode_matrix is not None:
             V = np.asarray(self._mode_matrix(x, K), dtype=float)
             if V.shape != (K, K):
                 raise ValueError(f"mode matrix has shape {V.shape}, expected {(K, K)}")
+            _check_finite(V, [x])
             if not np.array_equal(V, V.T):
                 # the A-form sweep reads one triangle of each slice
                 raise ValueError("mode matrix is not symmetric")
@@ -379,7 +404,8 @@ class TransversePotential2D:
         for _ in range(4):
             t, w = _gauss_legendre(J)
             rho = (mid + half * t).ravel()
-            f = [self._position(x, r) for r in rho.tolist()]
+            f = np.array([self._position(x, r) for r in rho.tolist()], dtype=float)
+            _check_finite(f, [x])
             S = np.sin(np.outer(rho, freq))
             V = (S.T * ((2.0 / self.W) * (half * w).ravel() * f)) @ S
             err = float(np.abs(V - prev).max())
@@ -419,11 +445,13 @@ def ratio_logdet_2d_truncated(
     om0sq = (math.pi * np.arange(1, K + 1) / W) ** 2
 
     if pot._diagonal is not None:
-        elements = lambda x: pot._diagonal(x, K)
+        elements = lambda x: pot._diagonal_modes(x, K)
         zero = np.zeros(K)
 
         def sweep(h2: float, nodes: list[float], vhat: Callable) -> LogDet:
-            return _chains(h2 * (om0sq + np.array([vhat(x) for x in nodes])))
+            v = np.array([vhat(x) for x in nodes])
+            _check_finite(v, nodes)
+            return _chains(h2 * (om0sq + v))
     else:
         elements = functools.partial(pot.matrix_elements, K=K)
         zero = np.zeros((K, K))

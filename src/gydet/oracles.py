@@ -25,17 +25,12 @@ import math
 import numpy as np
 
 from .logdet import Diagnostics, LogDet
-from .lattice import _check_int, transverse_eigenvalues
+from .lattice import LatticeSpec, transverse_eigenvalues
 
 
 def _check_m2(m2: float) -> None:
     if not (math.isfinite(m2) and m2 >= 0):
         raise ValueError(f"m2 must be finite and >= 0, got {m2}")
-
-
-def _acosh1p(t: float) -> float:
-    """arccosh(1 + t) for t >= 0 without cancellation near t = 0."""
-    return math.log1p(t + math.sqrt(t * (t + 2.0)))
 
 
 def gamma_k(m2: float, lam: float) -> float:
@@ -48,7 +43,8 @@ def gamma_k(m2: float, lam: float) -> float:
     t = (m2 - lam) / 2.0
     if t < 0.0:
         raise ValueError(f"arccosh argument below 1: m2={m2}, lambda={lam}")
-    return _acosh1p(t)
+    # arccosh(1 + t) without cancellation near t = 0
+    return math.log1p(t + math.sqrt(t * (t + 2.0)))
 
 
 def log_sinh(x: float) -> float:
@@ -68,10 +64,7 @@ def sinh_product_logdet(m2: float, N: int, M: int) -> LogDet:
     grow with the number of additions.
     """
     _check_m2(m2)
-    _check_int("N", N)
-    _check_int("M", M)
-    if N < 2 or M < 2:
-        raise ValueError("N and M must be >= 2")
+    LatticeSpec(2, N, M)
     terms = []
     for lam in transverse_eigenvalues(M):
         g = gamma_k(m2, lam)
@@ -93,10 +86,7 @@ def eigenproduct_logdet_2d(m2: float, N: int, M: int) -> LogDet:
     strictly positive for finite N, M, so the sign is always +.
     """
     _check_m2(m2)
-    _check_int("N", N)
-    _check_int("M", M)
-    if N < 2 or M < 2:
-        raise ValueError("N and M must be >= 2")
+    LatticeSpec(2, N, M)
     eigs = m2 - transverse_eigenvalues(N)[:, None] - transverse_eigenvalues(M)[None, :]
     return LogDet(
         log_abs=float(np.log(eigs).sum()),

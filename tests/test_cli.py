@@ -141,7 +141,7 @@ class TestDet:
                 ("det", "--size-n", "4", "--random-seed", "1", "--random-range", "1", "-1"),
                 "empty interval [1.0, -1.0)",
             ),
-            (("asym", "--mass2", "1", "--size-n", "1", "--size-m", "4"), "N and M must be >= 2"),
+            (("asym", "--mass2", "1", "--size-n", "1", "--size-m", "4"), "N must be >= 2, got 1"),
             (("det", "--size-n", "4", "--random-seed", "-1"), "seed must be in [0, 2**64), got -1"),
             (
                 ("det", "--size-n", "3", "--size-m", "3", "--random-seed", "1",

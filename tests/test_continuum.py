@@ -81,6 +81,83 @@ class TestInputChecks:
             TransversePotential2D.finite_rank({entry: 5.0}, 1.0)
 
 
+def nan_beyond_half(s):
+    return math.nan if s > 0.5 else 1.0
+
+
+NOT_FINITE = "potential is not finite at x = "
+BAD_POTENTIALS = {
+    # was "mode matrix is not symmetric"
+    "finite-rank-nan": (
+        lambda: ratio_logdet_2d_truncated(
+            TransversePotential2D.finite_rank({(1, 1): math.nan}, 1.0), 1.0, 1.0, 2
+        ),
+        NOT_FINITE,
+    ),
+    # was SignChange at a zero pivot
+    "mode-matrix-inf": (
+        lambda: ratio_logdet_2d_truncated(
+            TransversePotential2D(1.0, mode_matrix=lambda x, K: np.full((K, K), math.inf)),
+            1.0, 1.0, 2,
+        ),
+        NOT_FINITE,
+    ),
+    # was SignChange: Riccati variable diverged
+    "riccati-nan": (
+        lambda: ratio_logdet_1d_riccati(Potential1D(nan_beyond_half, 1.0)),
+        NOT_FINITE,
+    ),
+    # was QuadratureError after four rules; nan in rho, reported at its x
+    "position-nan": (
+        lambda: TransversePotential2D(1.0, position=lambda x, r: nan_beyond_half(r))
+        .matrix_elements(0.3, 64),
+        NOT_FINITE + "0.3",
+    ),
+    # the three inf cases raised numpy's RuntimeWarning
+    "1d-inf": (
+        lambda: ratio_logdet_1d(Potential1D(lambda x: math.inf, 1.0)),
+        NOT_FINITE + f"{1 / MIN_STEPS}",
+    ),
+    "diagonal-inf": (
+        lambda: ratio_logdet_2d_truncated(
+            TransversePotential2D(1.0, diagonal_modes=lambda x, K: np.full(K, math.inf)),
+            1.0, 1.0, 2,
+        ),
+        NOT_FINITE,
+    ),
+    "position-inf": (
+        lambda: ratio_logdet_2d_truncated(
+            TransversePotential2D.separable(lambda x: math.inf, math.sin, 1.0), 1.0, 1.0, 2
+        ),
+        NOT_FINITE,
+    ),
+    # was numpy's TypeError from leggauss
+    "float-K": (
+        lambda: TransversePotential2D.constant(1.0, 1.0).matrix_elements(0.3, 4.0),
+        "K must be an integer, got 4.0",
+    ),
+    # was a 3 x 3 matrix, and a broadcast error in the ratio
+    "diagonal-shape": (
+        lambda: TransversePotential2D(1.0, diagonal_modes=lambda x, K: np.ones(K + 1))
+        .matrix_elements(0.3, 2),
+        r"diagonal modes have shape \(3,\), expected \(2,\)",
+    ),
+    "diagonal-shape-ratio": (
+        lambda: ratio_logdet_2d_truncated(
+            TransversePotential2D(1.0, diagonal_modes=lambda x, K: np.ones(K + 1)),
+            1.0, 1.0, 2,
+        ),
+        r"diagonal modes have shape \(3,\), expected \(2,\)",
+    ),
+}
+
+
+@pytest.mark.parametrize("call, message", BAD_POTENTIALS.values(), ids=BAD_POTENTIALS.keys())
+def test_bad_potential_named(call, message):
+    with pytest.raises(ValueError, match=f"^{message}"):
+        call()
+
+
 class TestRatio1D:
     def test_zero_potential_is_exactly_zero(self):
         r = ratio_logdet_1d(Potential1D.constant(0.0, 3.7), tol=1e-10)

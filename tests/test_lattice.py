@@ -73,6 +73,20 @@ def test_integer_arguments_checked(call, name):
         call()
 
 
+@pytest.mark.parametrize("N, M", [(1, 4), (4, 1)])
+@pytest.mark.parametrize("closed_form", [
+    lambda N, M: sinh_product_logdet(1.0, N, M),
+    lambda N, M: eigenproduct_logdet_2d(1.0, N, M),
+    lambda N, M: massive_asymptotic_logdet(1.0, N, M),
+    massless_asymptotic_logdet,
+], ids=["sinh", "eigen", "massive", "massless"])
+def test_closed_forms_name_the_short_extent(closed_form, N, M):
+    # the closed forms check their box as LatticeSpec(2, N, M) does
+    name, value = ("N", N) if N < 2 else ("M", M)
+    with pytest.raises(ValueError, match=f"^{name} must be >= 2, got {value}$"):
+        closed_form(N, M)
+
+
 def test_numpy_integer_arguments_accepted():
     spec = LatticeSpec(np.int64(2), np.int64(4), np.int64(3))
     PotentialField.random_uniform(spec, seed=np.uint64(7))
