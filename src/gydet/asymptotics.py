@@ -85,7 +85,9 @@ def quad_I1(m2: float) -> float:
         I1(m) = (1/pi) * integral_0^pi arccosh(1 + (m^2 + 2(1-cos x))/2) dx.
 
     No closed form; evaluated by adaptive quadrature to absolute tolerance
-    _I1_TOL.  At m = 0 this equals 4G/pi.  The result must be accurate to
+    _I1_TOL, or 64 eps gamma(-4) once that is larger (gamma(-4) above about
+    70): QUADPACK's error estimate cannot fall below about 50 eps times the
+    integral.  At m = 0 this equals 4G/pi.  The result must be accurate to
     about 1 ulp, not merely to _I1_TOL: the area term N M I1 of
     massive_asymptotic_logdet multiplies its error by N M, so a bias of a
     few ulps here becomes as many ulps of ln det.  At this tolerance the
@@ -96,7 +98,8 @@ def quad_I1(m2: float) -> float:
     _check_m2(m2)
     # 2(1-cos x) = 4 sin^2(x/2), exact at the x -> 0 endpoint
     f = lambda x: gamma_k(m2, -4.0 * math.sin(0.5 * x) ** 2)
-    return _integrate_0_pi(f, _I1_TOL * math.pi) / math.pi
+    tol = max(_I1_TOL, 64.0 * math.ulp(1.0) * gamma_k(m2, -4.0))
+    return _integrate_0_pi(f, tol * math.pi) / math.pi
 
 
 def quad_I2(m2: float) -> float:
@@ -165,7 +168,8 @@ def massive_asymptotic_logdet(m2: float, N: int, M: int) -> AsymptoticBreakdown:
         area=N * M * quad_I1(m2),
         perimeter=-0.5 * (N + M) * g_of_m(m2),
         log_t=0.0,
-        constant=0.25 * math.log(m2 * (m2 + 4.0) ** 2 * (m2 + 8.0)),
+        # a sum of logs: the product overflows above m^2 of about 1e77
+        constant=0.25 * (math.log(m2) + 2.0 * math.log(m2 + 4.0) + math.log(m2 + 8.0)),
         modular=0.0,
     )
 

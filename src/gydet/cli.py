@@ -29,6 +29,14 @@ import math
 import sys
 import time
 
+import numpy as np
+
+from . import asymptotics, gy, oracles
+from .errors import GydetError, SingularCrossing, SingularMatrix, SizeCapExceeded
+from .lattice import LatticeSpec, PotentialField, build_interior_hamiltonian
+from .logdet import dense_logdet
+from .verify import run_suite
+
 USAGE_EXIT = 1
 SINGULAR_EXIT = 2
 VERIFY_EXIT = 3
@@ -65,8 +73,6 @@ class _Parser(argparse.ArgumentParser):
 
 def _build_problem(args):
     """(spec, potential, descriptor, seed) from det/bench style flags."""
-    from .lattice import LatticeSpec, PotentialField
-
     if args.random_range is not None and args.random_seed is None:
         raise ValueError("--random-range needs --random-seed")
     spec = LatticeSpec(d=args.dim, N=args.size_n, M=args.size_m)
@@ -87,10 +93,6 @@ def _build_problem(args):
 
 
 def _compute_logdet(method: str, spec, pot):
-    from . import gy, oracles
-    from .logdet import dense_logdet
-    from .lattice import build_interior_hamiltonian
-
     if method in ("eigenproduct", "sinh-product"):
         if pot.provenance[0] != "constant":
             raise ValueError(
@@ -138,8 +140,6 @@ def cmd_det(args) -> int:
 
 
 def cmd_asym(args) -> int:
-    from . import asymptotics, oracles
-
     N, M = args.size_n, args.size_m
     if args.mass2 == 0.0:
         b = asymptotics.massless_asymptotic_logdet(N, M)
@@ -188,11 +188,6 @@ def _timed_median(fn, repeats: int, min_time: float) -> float:
 
 
 def cmd_bench(args) -> int:
-    from . import gy
-    from .lattice import LatticeSpec, PotentialField, build_interior_hamiltonian
-    from .logdet import dense_logdet
-    from .errors import SizeCapExceeded
-
     if args.repeats < 1:
         raise ValueError(f"--repeats must be >= 1, got {args.repeats}")
     if not (math.isfinite(args.min_time) and args.min_time >= 0):
@@ -224,8 +219,6 @@ def cmd_bench(args) -> int:
             print(f"{method},{n},{med!r},{ld.log_abs!r}")
             fitted.append((n, med))
         if len({n for n, _ in fitted}) >= 2:
-            import numpy as np
-
             x = np.log([n for n, _ in fitted])
             y = np.log([t for _, t in fitted])
             A = np.vstack([x, np.ones_like(x)]).T
@@ -238,8 +231,6 @@ def cmd_bench(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    from .verify import run_suite
-
     results = run_suite(quick=args.quick)
     failures = [name for name, failure in results if failure is not None]
     if failures:
@@ -307,8 +298,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    from .errors import GydetError, SingularCrossing, SingularMatrix
-
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -34,8 +34,8 @@ integrating u = x z on a logarithmic axis: u' = u - u^2 + x^2 V(x) in
 t = ln x, with u(x0) = 1, by classical RK4 on the same convergence loop.
 
 A position-space V(x, rho) enters through its sine-basis matrix, one
-Gauss-Legendre product per node (TransversePotential2D.matrix_elements),
-so V must be smooth in rho between the panel ends of that rule.
+Gauss-Legendre product per node on (0, W), so V must be smooth in rho
+there; a grid file enters through the exact transform of its interpolant.
 
 Mode-space truncation of a genuinely two-dimensional potential is only
 guaranteed to converge in K for finite-rank or summably decaying mode
@@ -57,7 +57,7 @@ import numpy as np
 
 from .errors import NonConvergentRatio, QuadratureError, SignChange, SingularCrossing
 from .gy import _aform_logdet, scalar_logdet
-from .lattice import _check_int
+from .lattice import LatticeSpec, PotentialField, _check_int
 from .logdet import LogDet
 
 MIN_STEPS = 64
@@ -272,11 +272,10 @@ class TransversePotential2D:
     cover constant masses, separable products f(x) g(rho), finite-rank
     mode couplings, and tabulated grids with bilinear interpolation.
 
-    A position callable must be smooth in rho on each panel of the
-    Gauss-Legendre rule of matrix_elements: (0, W), or for from_grid_file
-    the cells between the grid lines rho = j W / M, where the interpolant
-    has its kinks.  A kink or a jump inside a panel raises QuadratureError;
-    give such a V as mode_matrix= instead.
+    A position callable must be smooth in rho on (0, W), where
+    matrix_elements integrates it with one Gauss-Legendre rule.  A kink or
+    a jump raises QuadratureError; give such a V as mode_matrix= instead,
+    as from_grid_file does with the exact transform of its interpolant.
     """
 
     def __init__(
@@ -293,8 +292,6 @@ class TransversePotential2D:
             raise ValueError("give exactly one of position, mode_matrix, diagonal_modes")
         self.W = W
         self._position = position
-        # ends of the Gauss-Legendre panels; from_grid_file sets its grid lines
-        self._panels = np.array([0.0, W])
         self._mode_matrix = mode_matrix
         self._diagonal = diagonal_modes
 
@@ -340,34 +337,29 @@ class TransversePotential2D:
         rho = j W / M, bilinear in between.  The boundary ring is padded
         with zeros, so values taper linearly to zero across the outermost
         half cell; interpolation is exact only inside the interior-node
-        hull."""
-        from .lattice import LatticeSpec, PotentialField
-
+        hull.  The mode matrix is the interpolant's exact sine transform:
+        at fixed x it is a sum of hats of heights w_j on the lines j W / M,
+        so V-hat_nm = c_|n-m| - c_(n+m) with
+        c_q = sinc^2(q / 2M) / M * sum_j w_j cos(q pi j / M)."""
         _check_length("L", L)
         spec = LatticeSpec(d=2, N=N, M=M)
         field = PotentialField.from_file(spec, path)
-        # pad with the Dirichlet-style zero boundary so interpolation is
-        # defined on the whole box
-        grid = np.zeros((N + 1, M + 1))
-        grid[1:N, 1:M] = field.values
+        # zero rows at x = 0 and x = L give the Dirichlet-style boundary ring
+        grid = np.zeros((N + 1, M - 1))
+        grid[1:N] = field.values
+        j = np.arange(1, M)
 
-        def position(x: float, rho: float) -> float:
+        def mode_matrix(x: float, K: int) -> np.ndarray:
             fx = min(max(x / L * N, 0.0), N)
-            fr = min(max(rho / W * M, 0.0), M)
             i0 = min(int(fx), N - 1)
-            j0 = min(int(fr), M - 1)
-            tx = fx - i0
-            tr = fr - j0
-            return float(
-                grid[i0, j0] * (1 - tx) * (1 - tr)
-                + grid[i0 + 1, j0] * tx * (1 - tr)
-                + grid[i0, j0 + 1] * (1 - tx) * tr
-                + grid[i0 + 1, j0 + 1] * tx * tr
-            )
+            t = fx - i0
+            w = (1 - t) * grid[i0] + t * grid[i0 + 1]
+            q = np.arange(2 * K + 1)
+            c = np.cos(np.outer(q, j) * (math.pi / M)) @ w * np.sinc(q / (2 * M)) ** 2 / M
+            n = np.arange(1, K + 1)
+            return c[abs(n[:, None] - n)] - c[n[:, None] + n]
 
-        pot = cls(W, position=position)
-        pot._panels = W * np.arange(M + 1) / M
-        return pot
+        return cls(W, mode_matrix=mode_matrix)
 
     def _diagonal_modes(self, x: float, K: int) -> np.ndarray:
         """The K diagonal entries of V-hat(x) of a mode-diagonal potential."""
@@ -378,8 +370,8 @@ class TransversePotential2D:
 
     def matrix_elements(self, x: float, K: int) -> np.ndarray:
         """K x K symmetric matrix of V-hat(x) in the sine basis.  A position
-        callable is integrated with J = 2K + 16 Gauss-Legendre points per
-        panel, J doubled until two rules agree to QUAD_TOL in max norm;
+        callable is integrated over (0, W) with J = 2K + 16 Gauss-Legendre
+        points, J doubled until two rules agree to QUAD_TOL in max norm;
         QuadratureError after four rules."""
         _check_int("K", K)
         if K < 1:
@@ -396,18 +388,17 @@ class TransversePotential2D:
                 raise ValueError("mode matrix is not symmetric")
             return V
         # V-hat = (2/W) S^T diag(w V(x, rho)) S with S[j, n] = sin(n pi rho_j / W)
-        half = 0.5 * np.diff(self._panels)[:, None]
-        mid = self._panels[:-1, None] + half
+        half = 0.5 * self.W
         freq = math.pi / self.W * np.arange(1, K + 1)
         J = 2 * K + 16
         prev = np.inf
         for _ in range(4):
             t, w = _gauss_legendre(J)
-            rho = (mid + half * t).ravel()
+            rho = half + half * t
             f = np.array([self._position(x, r) for r in rho.tolist()], dtype=float)
             _check_finite(f, [x])
             S = np.sin(np.outer(rho, freq))
-            V = (S.T * ((2.0 / self.W) * (half * w).ravel() * f)) @ S
+            V = (S.T * ((2.0 / self.W) * (half * w) * f)) @ S
             err = float(np.abs(V - prev).max())
             if err <= QUAD_TOL:
                 return np.triu(V) + np.triu(V, 1).T

@@ -130,8 +130,8 @@ class PotentialField:
 
         Each record is whitespace separated: the longitudinal index i
         (1..N-1), then d-1 transverse indices (1..M-1 each), then the
-        value.  Lines starting with '#' and blank lines are ignored.
-        Every interior site must appear exactly once.
+        value.  '#' starts a comment, and blank lines are ignored.
+        Every interior site must appear exactly once, with a finite value.
         """
         path = Path(path)
         vals = np.full((spec.N - 1, spec.K), np.nan)
@@ -139,8 +139,8 @@ class PotentialField:
         n_idx = spec.d  # longitudinal + (d-1) transverse indices per line
         with open(path) as fh:
             for lineno, raw in enumerate(fh, start=1):
-                line = raw.strip()
-                if not line or line.startswith("#"):
+                line = raw.split("#", 1)[0].strip()
+                if not line:
                     continue
                 parts = line.split()
                 if len(parts) != n_idx + 1:
@@ -153,6 +153,8 @@ class PotentialField:
                     value = float(parts[n_idx])
                 except ValueError as exc:
                     raise PotentialFileError(f"{path}:{lineno}: {exc}") from None
+                if not math.isfinite(value):
+                    raise PotentialFileError(f"{path}:{lineno}: value {parts[n_idx]} is not finite")
                 i = idx[0]
                 if not 1 <= i <= spec.N - 1:
                     raise PotentialFileError(

@@ -38,11 +38,14 @@ def gamma_k(m2: float, lam: float) -> float:
     condition e^gamma + e^-gamma = m2 + 2 - lam.
 
     Requires m2 >= lam (always true here: lam < 0 <= m2); gamma = 0 only
-    when m2 = lam = 0.
+    when m2 = lam = 0.  Above t = 1e150, where t (t + 2) would overflow,
+    arccosh(1 + t) = ln(2t) + O(1/t) is ln(2t) to the last bit.
     """
     t = (m2 - lam) / 2.0
     if t < 0.0:
         raise ValueError(f"arccosh argument below 1: m2={m2}, lambda={lam}")
+    if t > 1e150:
+        return math.log(2.0 * t)
     # arccosh(1 + t) without cancellation near t = 0
     return math.log1p(t + math.sqrt(t * (t + 2.0)))
 

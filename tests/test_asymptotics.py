@@ -24,6 +24,14 @@ I1_AT_1 = 1.50798260227951338825
 I1_AT_4 = 2.04569626821401488913
 I2_AT_1 = -1.44363547517881034249
 I2_AT_4 = -2.02758942180013186913
+# huge masses, by 60-digit mpmath quadrature of the defining integral and
+# of the sinh product
+I1_HUGE = {
+    1e40: 92.10340371976182736071965818737456830404,
+    1e60: 138.1551055796427410410794872810618524561,
+    1e300: 690.7755278982137052053974364053092622803,
+}
+SINH_PRODUCT_8X8_AT_1E200 = 22565.33391134164770337631625590676923449
 
 
 def catalan_partial_sums(n_terms: int) -> float:
@@ -281,6 +289,26 @@ class TestMasslessAsymptotic:
         assert abs(coef[1] - (-2.0 * math.log(1.0 + math.sqrt(2.0)))) < 1e-3
         assert abs(coef[2] - 4 * CATALAN / math.pi) < 1e-6
         assert abs(coef[3] - (-0.5)) < 2e-2
+
+
+class TestHugeMass:
+    # gamma's t (t + 2) overflowed above m^2 of about 2.7e154, QUADPACK's
+    # error estimate passed quad_I1's absolute tolerance from about 1e40,
+    # and the constant's product m^2 (m^2+4)^2 (m^2+8) overflowed above 1e77
+
+    @pytest.mark.parametrize("m2", sorted(I1_HUGE))
+    def test_quad_I1(self, m2):
+        want = I1_HUGE[m2]
+        assert abs(quad_I1(m2) - want) <= 2 * math.ulp(want)
+
+    def test_sinh_product(self):
+        want = SINH_PRODUCT_8X8_AT_1E200
+        assert abs(sinh_product_logdet(1e200, 8, 8).log_abs - want) <= 2 * math.ulp(want)
+
+    @pytest.mark.parametrize("m2", [1e40, 1e60, 1e200, 1e300])
+    def test_massive_asymptotic_against_sinh_product(self, m2):
+        exact = sinh_product_logdet(m2, 8, 8).log_abs
+        assert abs(massive_asymptotic_logdet(m2, 8, 8).total - exact) <= 4 * math.ulp(exact)
 
 
 @pytest.mark.parametrize("m2", [math.nan, math.inf])

@@ -70,6 +70,15 @@ class TestDet:
         # frozen from the eigenvalue-product oracle for (m2, N, M) = (1, 4, 5)
         assert abs(rec["log_abs_det"] - 18.520807948695325) < 1e-9
 
+    def test_huge_mass(self, capsys):
+        # exited 1 with "log_abs must be finite, got nan"; gy-a gave this value
+        code, out, _ = run_cli(
+            capsys, "det", "--method", "sinh-product", "--mass2", "1e200", "--size-n", "8",
+            "--size-m", "8",
+        )
+        assert code == 0
+        assert abs(json.loads(out)["log_abs_det"] - 22565.333911341648) < 1e-10
+
     def test_methods_cross_agree(self, capsys):
         values = {}
         for method in ("gy-a", "dense"):
@@ -207,6 +216,12 @@ class TestAsym:
         t1 = json.loads(out1)["total"]
         t2 = json.loads(out2)["total"]
         assert abs(t1 - t2) < 1e-12 * max(1.0, abs(t1))
+
+    def test_huge_mass(self, capsys):
+        # quad_I1 raised QuadratureError from m^2 of about 1e40 on
+        code, out, _ = run_cli(capsys, "asym", "--mass2", "1e60", "--size-n", "8", "--size-m", "8")
+        assert code == 0
+        assert abs(json.loads(out)["total"] - 6769.600173402495) < 1e-11
 
     def test_massive_with_exact(self, capsys):
         code, out, _ = run_cli(

@@ -14,6 +14,7 @@ from gydet.continuum import (
 )
 from gydet.errors import NonConvergentRatio, QuadratureError, SignChange
 from gydet.gy import scalar_logdet
+from gydet.lattice import LatticeSpec, PotentialField
 from gydet.oracles import log_sinh
 
 
@@ -465,22 +466,52 @@ def seeded_grid(tmp_path, N=8, M=6):
     return path
 
 
+def bilinear(path, N, M, L, W):
+    """The bilinear interpolant of a grid file at a point, on the grid
+    padded with a zero boundary ring: the reference that from_grid_file's
+    mode matrix is the exact transform of."""
+    grid = np.zeros((N + 1, M + 1))
+    grid[1:N, 1:M] = PotentialField.from_file(LatticeSpec(2, N, M), path).values
+
+    def V(x, rho):
+        fx = min(max(x / L * N, 0.0), N)
+        fr = min(max(rho / W * M, 0.0), M)
+        i0 = min(int(fx), N - 1)
+        j0 = min(int(fr), M - 1)
+        tx, tr = fx - i0, fr - j0
+        return float(
+            grid[i0, j0] * (1 - tx) * (1 - tr)
+            + grid[i0 + 1, j0] * tx * (1 - tr)
+            + grid[i0, j0 + 1] * (1 - tx) * tr
+            + grid[i0 + 1, j0 + 1] * tx * tr
+        )
+
+    return V
+
+
+def quad_element(V, x, n, m, M, W):
+    """(2/W) int_0^W V(x, rho) sin(n pi rho / W) sin(m pi rho / W) by
+    QUADPACK, split at the grid lines, where the interpolant has kinks."""
+    k = math.pi / W
+    value, _ = scipy.integrate.quad(
+        lambda r: 2.0 / W * V(x, r) * math.sin(n * k * r) * math.sin(m * k * r),
+        0.0, W, points=[j * W / M for j in range(1, M)], epsabs=1e-13, epsrel=0.0,
+        limit=200,
+    )
+    return value
+
+
 class TestGridFilePotential:
     def test_matrix_elements_at_k64(self, tmp_path):
-        # the bilinear interpolant has a kink on every grid line; with the
-        # rule split there, the highest mode's row matches QUADPACK given
-        # the same breakpoints (without them, 60 of its 64 integrals fail)
+        # the highest mode's row, where sin sin oscillates fastest, matches
+        # QUADPACK's integrals of the pointwise interpolant
         N, M, K, x = 8, 6, 64, 0.3
-        pot = TransversePotential2D.from_grid_file(seeded_grid(tmp_path, N, M), N, M, 1.0, 1.0)
+        path = seeded_grid(tmp_path, N, M)
+        pot = TransversePotential2D.from_grid_file(path, N, M, 1.0, 1.0)
+        V = bilinear(path, N, M, 1.0, 1.0)
         row = pot.matrix_elements(x, K)[K - 1]
-        lines = [j / M for j in range(1, M)]
         for m in range(1, K + 1):
-            want, _ = scipy.integrate.quad(
-                lambda r: 2.0 * pot._position(x, r) * math.sin(K * math.pi * r)
-                * math.sin(m * math.pi * r),
-                0.0, 1.0, points=lines, epsabs=1e-13, epsrel=0.0, limit=200,
-            )
-            assert abs(row[m - 1] - want) <= 2e-10, m
+            assert abs(row[m - 1] - quad_element(V, x, K, m, M, 1.0)) <= 1e-13, m
 
     def test_ratio_against_pinned_value(self, tmp_path):
         # the QUADPACK-element route gave 0.10346570940423103 for this grid
@@ -489,9 +520,11 @@ class TestGridFilePotential:
         assert abs(r.log_ratio - 0.10346570940423103) <= 1e-11
 
     def test_bilinear_interpolation(self, tmp_path):
-        # tabulate V(x, rho) = x * rho on a grid; interpolation must
-        # reproduce it (bilinear is exact for bilinear functions)
-        N, M, L, W = 8, 6, 2.0, 1.5
+        # tabulate V(x, rho) = x * rho on a grid with L != W; the reference
+        # reproduces it (bilinear is exact for bilinear functions) inside
+        # the interior-node hull, and the mode matrix is its transform at
+        # x between grid lines
+        N, M, L, W, K = 8, 6, 2.0, 1.5, 6
         lines = []
         for i in range(1, N):
             for j in range(1, M):
@@ -500,10 +533,13 @@ class TestGridFilePotential:
         path = tmp_path / "grid.txt"
         path.write_text("\n".join(lines) + "\n")
         pot = TransversePotential2D.from_grid_file(path, N, M, L, W)
-        # exactness holds inside the interior-node hull (the padded zero
-        # ring makes the outermost half cell taper instead)
+        V = bilinear(path, N, M, L, W)
         for (x, rho) in ((0.5, 0.3), (1.2, 0.9), (1.6, 1.1)):
-            assert abs(pot._position(x, rho) - x * rho) < 1e-12
+            assert abs(V(x, rho) - x * rho) < 1e-12
+            got = pot.matrix_elements(x, K)
+            for n in range(1, K + 1):
+                for m in range(1, n + 1):
+                    assert abs(got[n - 1, m - 1] - quad_element(V, x, n, m, M, W)) <= 1e-13
 
     def test_boundary_ring_is_zero(self, tmp_path):
         N = M = 4
@@ -511,5 +547,5 @@ class TestGridFilePotential:
         path = tmp_path / "grid.txt"
         path.write_text("\n".join(lines) + "\n")
         pot = TransversePotential2D.from_grid_file(path, N, M, 1.0, 1.0)
-        assert pot._position(0.0, 0.5) == 0.0
-        assert pot._position(1.0, 0.5) == 0.0
+        assert not pot.matrix_elements(0.0, 8).any()
+        assert not pot.matrix_elements(1.0, 8).any()

@@ -184,6 +184,24 @@ class TestPotentialFile:
         with pytest.raises(PotentialFileError, match="expected"):
             PotentialField.from_file(spec, path)
 
+    def test_comment_ends_record(self, tmp_path):
+        # only whole-line comments were skipped, so "1 0.5 # left end"
+        # failed with "expected 1 indices and a value, got 5 fields"
+        spec = LatticeSpec(d=1, N=4)
+        path = tmp_path / "pot.txt"
+        path.write_text("# header\n1 0.5  # left end\n2 0.0#\n3 -0.5 # 3 1.0\n")
+        pot = PotentialField.from_file(spec, path)
+        assert pot.values[:, 0].tolist() == [0.5, 0.0, -0.5]
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
+    def test_nonfinite_value_named(self, tmp_path, value):
+        # was a ValueError naming neither the file nor the line
+        spec = LatticeSpec(d=1, N=4)
+        path = tmp_path / "pot.txt"
+        path.write_text(f"1 0.5\n2 {value}\n3 -0.5\n")
+        with pytest.raises(PotentialFileError, match=f"pot.txt:2: value {value} is not finite"):
+            PotentialField.from_file(spec, path)
+
     def test_round_trip_3d_site_ordering(self, tmp_path):
         # three-dimensional records carry two transverse indices; the
         # loader must place them in lattice order (last index fastest)

@@ -35,6 +35,13 @@ class TestGamma:
             want = m * (1.0 - m * m / 24.0)  # next order is +3 m^5/640
             assert abs(g - want) < 1e-14 * m
 
+    @pytest.mark.parametrize("lam", [0.0, -4.0, np.float64(-4.0)])
+    def test_huge_mass_finite(self, lam):
+        # t (t + 2) overflowed to inf above m^2 of about 2.7e154, with a
+        # numpy RuntimeWarning when lam was a numpy float
+        want = 460.5170185988091368035982909368728415202  # ln 1e200, lam adds 4e-200
+        assert abs(gamma_k(1e200, lam) - want) <= math.ulp(want)
+
     def test_monotonicity(self):
         gs = [gamma_k(m2, -1.0) for m2 in (0.0, 0.5, 1.0, 2.0)]
         assert all(b > a for a, b in zip(gs, gs[1:]))
