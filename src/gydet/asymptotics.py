@@ -31,7 +31,7 @@ from typing import Callable
 
 from .errors import QuadratureError
 from .lattice import LatticeSpec
-from .oracles import _check_m2, gamma_k
+from .oracles import _check_m2, gamma_k, log_sinh
 
 # Catalan's constant G, correctly rounded to double precision
 CATALAN = 0.915965594177219
@@ -108,18 +108,17 @@ def quad_I2(m2: float) -> float:
         I2(m) = -(1/(2 pi)) * integral_0^pi
                  ln(m^4 + 8 m^2 + 14 - 4(m^2+4) cos x + 2 cos 2x) dx.
 
-    Restricted to m2 > 0: at m = 0 the integrand has an integrable log
-    singularity at x = 0 and the massless route goes through the closed
-    form instead.  Numerically I2(m) = -g(m)/2, which the test suite
-    checks as an identity.
+    The argument of the log is b^2 - 4 with b = m^2 + 4 - 2 cos x =
+    2 cosh gamma(lambda), lambda = -4 sin^2(x/2), so the integrand is
+    evaluated as 2 (ln 2 + ln sinh gamma): the polynomial overflows above
+    m^2 of about 1e154, the sinh form does not.  Restricted to m2 > 0: at
+    m = 0 the integrand has an integrable log singularity at x = 0 and the
+    massless route goes through the closed form instead.  Numerically
+    I2(m) = -g(m)/2, which the test suite checks as an identity.
     """
     if not (math.isfinite(m2) and m2 > 0):
         raise ValueError(f"quad_I2 requires finite m2 > 0, got {m2}")
-
-    def f(x):
-        c = math.cos(x)
-        return math.log(m2 * m2 + 8.0 * m2 + 14.0 - 4.0 * (m2 + 4.0) * c + 2.0 * math.cos(2.0 * x))
-
+    f = lambda x: 2.0 * (math.log(2.0) + log_sinh(gamma_k(m2, -4.0 * math.sin(0.5 * x) ** 2)))
     return -_integrate_0_pi(f, _I2_TOL * math.pi) / (2.0 * math.pi)
 
 

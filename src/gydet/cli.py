@@ -72,7 +72,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_problem(args):
-    """(spec, potential, descriptor, seed) from det/bench style flags."""
+    """(spec, potential, descriptor, seed) from the det flags."""
     if args.random_range is not None and args.random_seed is None:
         raise ValueError("--random-range needs --random-seed")
     spec = LatticeSpec(d=args.dim, N=args.size_n, M=args.size_m)
@@ -231,7 +231,7 @@ def cmd_bench(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    results = run_suite(quick=args.quick)
+    results = run_suite()
     failures = [name for name, failure in results if failure is not None]
     if failures:
         print(f"FAILED: {', '.join(failures)}", file=sys.stderr)
@@ -292,7 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_bench)
 
     p = sub.add_parser("verify", help="cross-method verification suite")
-    p.add_argument("--quick", action="store_true", help="small-lattice subset")
     p.set_defaults(fn=cmd_verify)
     return top
 

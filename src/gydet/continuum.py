@@ -337,9 +337,10 @@ class TransversePotential2D:
         rho = j W / M, bilinear in between.  The boundary ring is padded
         with zeros, so values taper linearly to zero across the outermost
         half cell; interpolation is exact only inside the interior-node
-        hull.  The mode matrix is the interpolant's exact sine transform:
-        at fixed x it is a sum of hats of heights w_j on the lines j W / M,
-        so V-hat_nm = c_|n-m| - c_(n+m) with
+        hull.  Sampling x outside [0, L] raises ValueError.  The mode matrix
+        is the interpolant's exact sine transform: at fixed x it is a sum
+        of hats of heights w_j on the lines j W / M, so
+        V-hat_nm = c_|n-m| - c_(n+m) with
         c_q = sinc^2(q / 2M) / M * sum_j w_j cos(q pi j / M)."""
         _check_length("L", L)
         spec = LatticeSpec(d=2, N=N, M=M)
@@ -350,7 +351,9 @@ class TransversePotential2D:
         j = np.arange(1, M)
 
         def mode_matrix(x: float, K: int) -> np.ndarray:
-            fx = min(max(x / L * N, 0.0), N)
+            if not 0.0 <= x <= L:
+                raise ValueError(f"grid potential sampled at x = {x!r}, outside [0, L = {L!r}]")
+            fx = x / L * N
             i0 = min(int(fx), N - 1)
             t = fx - i0
             w = (1 - t) * grid[i0] + t * grid[i0 + 1]

@@ -240,8 +240,11 @@ def matrix_logdet_yform(spec: LatticeSpec, pot: PotentialField) -> LogDet:
     transverse modes, rounding noise from the fastest-growing mode swamps
     the slowest once (gamma_max - gamma_min) * N exceeds ln(1/eps) ~ 36,
     after which det Y_N degrades even though each entry is finite.  This
-    is intrinsic to propagating the growing solution; at desk scale
-    (N, M <~ 30) the route is solid, at larger N prefer the bounded form.
+    is intrinsic to propagating the growing solution, and small lattices
+    are not exempt: on a 12 x 10 grid with V = -0.5 except about one site
+    in ten drawn uniform on [-4000, 4000) (numpy default_rng seeds 7, 8, 9
+    and 11) the result is off from dense factorization by 1.4e-3 to 9.1e-3
+    in ln|det|, with no error raised.  Prefer the bounded form.
     """
     if pot.spec != spec:
         raise ValueError("potential was built for a different lattice")

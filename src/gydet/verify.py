@@ -3,8 +3,8 @@
 Every check pits at least two independent routes against each other at a
 fixed tolerance and returns None on success or a short failure message.
 The CLI's verify command runs the lot and exits nonzero naming the first
-offenders; the test suite runs every check at full size, so the command
-and the tests cannot drift apart.
+offenders; the test suite runs every check on the same inputs, so the
+command and the tests cannot drift apart.
 """
 
 from __future__ import annotations
@@ -22,10 +22,9 @@ def _close(a: float, b: float, tol: float) -> bool:
     return abs(a - b) <= tol * max(1.0, abs(a), abs(b))
 
 
-def check_scalar_free_laplacian(quick: bool) -> Optional[str]:
+def check_scalar_free_laplacian() -> Optional[str]:
     """det(-Delta_1) on N-1 sites equals N, to 1e-12 relative in the log."""
-    sizes = [2, 10, 1000] if quick else [2, 10, 1000, 10**6]
-    for N in sizes:
+    for N in (2, 10, 1000, 10**6):
         got = gy.scalar_logdet(np.zeros(N - 1))
         want = math.log(N)
         if got.sign != 1 or abs(got.log_abs - want) > 1e-12 * want:
@@ -33,7 +32,7 @@ def check_scalar_free_laplacian(quick: bool) -> Optional[str]:
     return None
 
 
-def check_scalar_fibonacci(quick: bool) -> Optional[str]:
+def check_scalar_fibonacci() -> Optional[str]:
     """V = 1 determinants against the integer recurrence d_n = 3 d_{n-1} - d_{n-2}."""
     for N in (5, 10, 30):
         d_prev, d = 1, 3
@@ -48,13 +47,12 @@ def check_scalar_fibonacci(quick: bool) -> Optional[str]:
     return None
 
 
-def check_four_way_agreement(quick: bool) -> Optional[str]:
+def check_four_way_agreement() -> Optional[str]:
     """gy-a, gy-y, dense, eigenproduct and sinh-product agree pairwise to
     1e-10 on constant-mass 2D lattices."""
-    top = 6 if quick else 12
     for m2 in (0.0, 1.0):
-        for N in range(2, top + 1):
-            for M in range(2, top + 1):
+        for N in range(2, 13):
+            for M in range(2, 13):
                 spec = lattice.LatticeSpec(d=2, N=N, M=M)
                 pot = lattice.PotentialField.constant(spec, m2)
                 vals = {
@@ -76,14 +74,12 @@ def check_four_way_agreement(quick: bool) -> Optional[str]:
     return None
 
 
-def check_random_potential_agreement(quick: bool) -> Optional[str]:
+def check_random_potential_agreement() -> Optional[str]:
     """Recursion routes vs dense factorization on seeded random potentials,
     including shifted ones with negative determinants, to 1e-9 with sign."""
-    seeds = range(3) if quick else range(10)
-    top = 8 if quick else 12
-    for seed in seeds:
+    for seed in range(10):
         for shift in (0.0, -5.0):
-            spec = lattice.LatticeSpec(d=2, N=top, M=top - 1)
+            spec = lattice.LatticeSpec(d=2, N=12, M=11)
             base = lattice.PotentialField.random_uniform(spec, seed=seed)
             pot = (
                 base
@@ -106,14 +102,13 @@ def check_random_potential_agreement(quick: bool) -> Optional[str]:
     return None
 
 
-def check_sinh_product_vs_eigenproduct(quick: bool) -> Optional[str]:
+def check_sinh_product_vs_eigenproduct() -> Optional[str]:
     """The two closed forms agree to 1e-10, including with arguments
     swapped (the spectrum is exchange-symmetric; the sinh product sums
     over transverse modes only, so this is a nontrivial identity)."""
-    top = 8 if quick else 16
     for m2 in (0.0, 0.5, 1.0, 4.0):
-        for N in range(2, top + 1):
-            for M in range(2, top + 1):
+        for N in range(2, 17):
+            for M in range(2, 17):
                 sp = oracles.sinh_product_logdet(m2, N, M).log_abs
                 ep = oracles.eigenproduct_logdet_2d(m2, N, M).log_abs
                 if not _close(sp, ep, 1e-10):
@@ -124,7 +119,7 @@ def check_sinh_product_vs_eigenproduct(quick: bool) -> Optional[str]:
     return None
 
 
-def check_sinh_anchors(quick: bool) -> Optional[str]:
+def check_sinh_anchors() -> Optional[str]:
     """Desk anchors: ln 4, ln 192, ln 5 to 1e-12."""
     for (m2, N, M, want) in (
         (0.0, 2, 2, math.log(4.0)),
@@ -137,7 +132,7 @@ def check_sinh_anchors(quick: bool) -> Optional[str]:
     return None
 
 
-def check_i2_identity(quick: bool) -> Optional[str]:
+def check_i2_identity() -> Optional[str]:
     """|I2(m) + g(m)/2| <= 1e-9 over the standard mass grid."""
     for m2 in (0.01, 0.1, 1.0, 4.0, 25.0):
         gap = abs(asymptotics.quad_I2(m2) + asymptotics.g_of_m(m2) / 2.0)
@@ -146,12 +141,11 @@ def check_i2_identity(quick: bool) -> Optional[str]:
     return None
 
 
-def check_massless_asymptotic(quick: bool) -> Optional[str]:
+def check_massless_asymptotic() -> Optional[str]:
     """Massless asymptotic vs exact eigenproduct: 0.005 at N=M=3, monotone
     decay, below 1e-3 by N=M=64."""
-    sizes = [3, 8, 16] if quick else [3, 8, 16, 32, 64]
     diffs = []
-    for n in sizes:
+    for n in (3, 8, 16, 32, 64):
         d = abs(
             asymptotics.massless_asymptotic_logdet(n, n).total
             - oracles.eigenproduct_logdet_2d(0.0, n, n).log_abs
@@ -161,12 +155,12 @@ def check_massless_asymptotic(quick: bool) -> Optional[str]:
         return f"N=M=3 gap {diffs[0]:.4f} > 0.005"
     if any(b >= a for a, b in zip(diffs, diffs[1:])):
         return f"not monotone: {diffs}"
-    if not quick and diffs[-1] > 1e-3:
+    if diffs[-1] > 1e-3:
         return f"N=M=64 gap {diffs[-1]:.2e} > 1e-3"
     return None
 
 
-def check_exchange_symmetry(quick: bool) -> Optional[str]:
+def check_exchange_symmetry() -> Optional[str]:
     """Massless totals invariant under N <-> M to 1e-12."""
     for N, M in ((3, 7), (4, 16), (5, 9)):
         a = asymptotics.massless_asymptotic_logdet(N, M).total
@@ -176,22 +170,20 @@ def check_exchange_symmetry(quick: bool) -> Optional[str]:
     return None
 
 
-def check_massless_area_density(quick: bool) -> Optional[str]:
+def check_massless_area_density() -> Optional[str]:
     """Exact log-det per site approaches 4G/pi within 3/N."""
-    sizes = [32, 64] if quick else [32, 64, 128]
     target = 4.0 * asymptotics.CATALAN / math.pi
-    for n in sizes:
+    for n in (32, 64, 128):
         density = oracles.eigenproduct_logdet_2d(0.0, n, n).log_abs / (n * n)
         if abs(density - target) > 3.0 / n:
             return f"N=M={n}: density {density} vs {target} (> 3/N)"
     return None
 
 
-def check_continuum_1d(quick: bool) -> Optional[str]:
+def check_continuum_1d() -> Optional[str]:
     """Constant-mass ratio reproduces ln(sinh(mL)/(mL)); the Riccati
     diagnostic agrees within 1e-6."""
-    mls = (1.0,) if quick else (0.5, 1.0, 5.0)
-    for mL in mls:
+    for mL in (0.5, 1.0, 5.0):
         pot = continuum.Potential1D.constant(mL * mL, 1.0)
         want = math.log(math.sinh(mL) / mL)
         got = continuum.ratio_logdet_1d(pot, tol=1e-10).log_ratio
@@ -203,26 +195,26 @@ def check_continuum_1d(quick: bool) -> Optional[str]:
     return None
 
 
-def check_continuum_rank1(quick: bool) -> Optional[str]:
+def check_continuum_rank1() -> Optional[str]:
     """Rank-1 mode coupling matches its closed form for every truncation."""
     W = L = 1.0
     c = 3.0
     om = math.sqrt(c + math.pi**2)
     want = math.log(math.sinh(om * L) / om) - math.log(math.sinh(math.pi * L) / math.pi)
     pot = continuum.TransversePotential2D.finite_rank({(1, 1): c}, W)
-    for K in (1, 4) if quick else (1, 4, 16):
+    for K in (1, 4, 16):
         got = continuum.ratio_logdet_2d_truncated(pot, L, W, K, tol=1e-10).log_ratio
         if abs(got - want) > 1e-8:
             return f"K={K}: off by {got - want:.2e}"
     return None
 
 
-def check_continuum_dense_coupling(quick: bool) -> Optional[str]:
-    """The dense, x-independent coupling V-hat_nm = 3/(nm)^2 at K = 32 (16
-    quick) matches sum_k ln(sinh(sqrt(mu_k) L)/sqrt(mu_k)) over
+def check_continuum_dense_coupling() -> Optional[str]:
+    """The dense, x-independent coupling V-hat_nm = 3/(nm)^2 at K = 32 matches
+    sum_k ln(sinh(sqrt(mu_k) L)/sqrt(mu_k)) over
     mu = eigvalsh(diag((pi k/W)^2) + V-hat), minus the free term, to 1e-8."""
     W = L = 1.0
-    K = 16 if quick else 32
+    K = 32
     k = np.arange(1, K + 1)
     vhat = 3.0 / np.outer(k, k) ** 2
     free = (math.pi * k / W) ** 2
@@ -238,7 +230,7 @@ def check_continuum_dense_coupling(quick: bool) -> Optional[str]:
     return None
 
 
-CHECKS: list[tuple[str, Callable[[bool], Optional[str]]]] = [
+CHECKS: list[tuple[str, Callable[[], Optional[str]]]] = [
     ("scalar-free-laplacian", check_scalar_free_laplacian),
     ("scalar-fibonacci", check_scalar_fibonacci),
     ("four-way-agreement", check_four_way_agreement),
@@ -255,7 +247,7 @@ CHECKS: list[tuple[str, Callable[[bool], Optional[str]]]] = [
 ]
 
 
-def run_suite(quick: bool = False) -> list[tuple[str, Optional[str]]]:
+def run_suite() -> list[tuple[str, Optional[str]]]:
     """Run every check, printing one pass/fail line per check to stdout;
     return (name, failure) pairs, failure None on a pass.  A check that
     raises counts as failed, with the exception as its message.
@@ -263,7 +255,7 @@ def run_suite(quick: bool = False) -> list[tuple[str, Optional[str]]]:
     results = []
     for name, fn in CHECKS:
         try:
-            failure = fn(quick)
+            failure = fn()
         except Exception as exc:  # surfaced as a failure, not a crash
             failure = f"raised {type(exc).__name__}: {exc}"
         results.append((name, failure))

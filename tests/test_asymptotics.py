@@ -294,7 +294,8 @@ class TestMasslessAsymptotic:
 class TestHugeMass:
     # gamma's t (t + 2) overflowed above m^2 of about 2.7e154, QUADPACK's
     # error estimate passed quad_I1's absolute tolerance from about 1e40,
-    # and the constant's product m^2 (m^2+4)^2 (m^2+8) overflowed above 1e77
+    # and the constant's product m^2 (m^2+4)^2 (m^2+8) overflowed above 1e77;
+    # quad_I2's polynomial integrand m^4 + ... overflowed above about 1e154
 
     @pytest.mark.parametrize("m2", sorted(I1_HUGE))
     def test_quad_I1(self, m2):
@@ -304,6 +305,11 @@ class TestHugeMass:
     def test_sinh_product(self):
         want = SINH_PRODUCT_8X8_AT_1E200
         assert abs(sinh_product_logdet(1e200, 8, 8).log_abs - want) <= 2 * math.ulp(want)
+
+    @pytest.mark.parametrize("m2", [1e155, 1e200, 1e300])
+    def test_quad_I2(self, m2):
+        want = -g_of_m(m2) / 2.0
+        assert abs(quad_I2(m2) - want) <= 2 * math.ulp(want)
 
     @pytest.mark.parametrize("m2", [1e40, 1e60, 1e200, 1e300])
     def test_massive_asymptotic_against_sinh_product(self, m2):

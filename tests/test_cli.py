@@ -346,13 +346,15 @@ class TestVerify:
     @pytest.mark.parametrize("check", [fn for _, fn in verify.CHECKS],
                              ids=[name for name, _ in verify.CHECKS])
     def test_every_check_passes_at_full_size(self, check):
-        assert check(False) is None
+        assert check() is None
 
-    def test_quick_passes(self, capsys):
-        code, out, _ = run_cli(capsys, "verify", "--quick")
+    def test_cli_passes(self, capsys):
+        code, out, _ = run_cli(capsys, "verify")
         assert code == 0
-        assert out.count("PASS") >= 12
-        assert "FAIL" not in out
+        assert out.splitlines() == [
+            *(f"{name:32s} PASS" for name, _ in verify.CHECKS),
+            f"all {len(verify.CHECKS)} checks passed",
+        ]
 
     def test_corrupted_gamma_caught(self, capsys, monkeypatch):
         # a dispersion relation off by 1e-3 relative must fail exactly the
@@ -361,12 +363,12 @@ class TestVerify:
         monkeypatch.setattr(
             gydet.oracles, "gamma_k", lambda m2, lam: gamma_k(m2, lam) * (1.0 + 1e-3)
         )
-        code, _, err = run_cli(capsys, "verify", "--quick")
+        code, _, err = run_cli(capsys, "verify")
         assert code == 3
         assert err == (
             "FAILED: four-way-agreement, sinh-product-vs-eigenproduct, "
             "sinh-product-anchors\n"
         )
         monkeypatch.undo()
-        code, _, _ = run_cli(capsys, "verify", "--quick")
+        code, _, _ = run_cli(capsys, "verify")
         assert code == 0

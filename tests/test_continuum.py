@@ -549,3 +549,17 @@ class TestGridFilePotential:
         pot = TransversePotential2D.from_grid_file(path, N, M, 1.0, 1.0)
         assert not pot.matrix_elements(0.0, 8).any()
         assert not pot.matrix_elements(1.0, 8).any()
+
+    @pytest.mark.parametrize("x", [-3.0, -1e-300, 1.7])
+    def test_outside_grid_raises(self, tmp_path, x):
+        # x was clamped to [0, L], so V read as zero beyond the grid
+        pot = TransversePotential2D.from_grid_file(seeded_grid(tmp_path, 4, 4), 4, 4, 1.0, 1.0)
+        with pytest.raises(ValueError, match=rf"x = {x!r}, outside \[0, L = 1.0\]"):
+            pot.matrix_elements(x, 2)
+
+    def test_ratio_past_grid_raises(self, tmp_path):
+        # integrating to L = 2 over a grid tabulated on [0, 1] returned
+        # 0.033816859689934205 with V taken as zero on (1, 2]
+        pot = TransversePotential2D.from_grid_file(seeded_grid(tmp_path, 4, 4), 4, 4, 1.0, 1.0)
+        with pytest.raises(ValueError, match="outside"):
+            ratio_logdet_2d_truncated(pot, 2.0, 1.0, 4)
