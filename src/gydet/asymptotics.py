@@ -38,6 +38,9 @@ CATALAN = 0.915965594177219
 # Absolute tolerances of the quad_I1 and quad_I2 integrals.
 _I1_TOL = 1e-12
 _I2_TOL = 1e-10
+# Largest m^2 at which quad_I1 takes its small-mass series: there the
+# neglected O(m^4 ln m^2) term is 0.05 ulp of I1.
+_I1_SERIES_MAX = 1e-8
 
 
 def euler_product_log(q: float) -> float:
@@ -94,8 +97,21 @@ def quad_I1(m2: float) -> float:
     result is within 0.4 ulp of 40-digit quadrature for m^2 in
     {0, 0.25, 1, 4}, and at most 1.71 ulps off over 37 values of m^2 in
     [0, 9].
+
+    For 0 < m^2 <= _I1_SERIES_MAX the two-term small-mass series
+
+        I1(m) = 4G/pi + (m^2 / (4 pi)) (ln(32/m^2) + 1) + O(m^4 ln m^2)
+
+    is used instead.  Near x = 0 the integrand is about sqrt(m^2 + x^2),
+    a feature of width m that QUADPACK's error estimate does not see:
+    there the quadrature reported convergence while up to 4.4e5 ulps low
+    (m^2 = 1e-10).  The series is within 0.9 ulp of 40-digit quadrature
+    over m^2 in [1e-16, 1e-8].
     """
     _check_m2(m2)
+    if 0.0 < m2 <= _I1_SERIES_MAX:
+        # ln 32 - ln m^2, not ln(32/m^2): 32/m^2 overflows below m^2 = 32/DBL_MAX
+        return 4.0 * CATALAN / math.pi + m2 / (4.0 * math.pi) * (math.log(32.0) - math.log(m2) + 1.0)
     # 2(1-cos x) = 4 sin^2(x/2), exact at the x -> 0 endpoint
     f = lambda x: gamma_k(m2, -4.0 * math.sin(0.5 * x) ** 2)
     tol = max(_I1_TOL, 64.0 * math.ulp(1.0) * gamma_k(m2, -4.0))

@@ -37,7 +37,7 @@ import math
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
-from scipy.linalg.lapack import dgetrf, dsytrf, dsytrf_lwork, dsytrs
+from scipy.linalg.lapack import dgetrf, dlantr, dsytrf, dsytrf_lwork, dsytri, dsytrs
 
 from .errors import NonFiniteRecursion, SingularCrossing
 from .lattice import LatticeSpec, PotentialField, transverse_laplacian
@@ -45,6 +45,15 @@ from .logdet import EPS_PIVOT, Diagnostics, LogDet, decode_bunch_kaufman
 
 #: Entry magnitude that triggers a Y-form rescale.
 RESCALE_THRESHOLD = 1e100
+
+#: Largest |entry| of a Bunch-Kaufman factor L at which the A-form inverts
+#: with dsytri; above it the step solves against the identity instead.
+#: Set by measurement on twenty random K = 255 sweeps (V uniform in
+#: [-1, 1)), among them a nearly singular lattice and its mirror image:
+#: there the sweep is 2.4e-14 or less from the solve-only sweep at bounds
+#: 1.56, 2 and 2.3 (the 2.3 sweeps solve 39-60 of their 255 steps),
+#: 6.5e-14 to 7.7e-14 at 2.78 and 3.2, and 5.9e-12 with dsytri alone.
+L_GROWTH_MAX = 2.3
 
 # Exact power-of-two scaling used by the projective scalar recursion.
 _SCALE_HI = 2.0**512
@@ -143,6 +152,22 @@ def matrix_logdet_aform(spec: LatticeSpec, pot: PotentialField) -> LogDet:
     return _aform_logdet(_slices(spec, pot), spec.K, spec.N - 1)
 
 
+def _l_bounded(ldu: np.ndarray, ipiv: np.ndarray) -> bool:
+    """Whether every entry of L in the dsytrf(lower=1) factor ldu is at
+    most L_GROWTH_MAX after all, once dlantr over the whole strict lower
+    triangle has exceeded it.  That scan also reads the subdiagonal entry
+    of each 2x2 pivot block, which belongs to D, not L: the answer is no
+    unless there are such blocks and the bound holds without them."""
+    firsts = np.flatnonzero(ipiv < 0)[::2]
+    if not firsts.size:
+        return False
+    d21 = ldu[firsts + 1, firsts]
+    ldu[firsts + 1, firsts] = 0.0
+    bounded = dlantr(b"M", ldu, b"L", b"U") <= L_GROWTH_MAX
+    ldu[firsts + 1, firsts] = d21
+    return bool(bounded)
+
+
 def _aform_logdet(slices: Iterable[np.ndarray], K: int, n_steps: int) -> LogDet:
     """ln|det| and sign of the block-tridiagonal matrix with the n_steps
     symmetric K x K diagonal blocks T_n taken from slices and -I off the
@@ -151,18 +176,33 @@ def _aform_logdet(slices: Iterable[np.ndarray], K: int, n_steps: int) -> LogDet:
     Each step factors B_n with symmetric (Bunch-Kaufman) pivoting; the
     pivot-block determinants accumulate into the answer and the same
     factorization supplies B_n^{-1} for the next step, so the whole sweep
-    costs O(n_steps K^3) time.  Slices are consumed as the sweep reaches
-    them, so it keeps O(K^2) working memory besides the pivot buffers of
-    at most 4096 slices.  Pivot data is buffered and decoded in
-    vectorized chunks; exact LAPACK singularity reports surface
+    costs O(n_steps K^3) time.  The inverse is LAPACK dsytri, computed in
+    place over the factors in about 2K^3/3 flops (a solve against the
+    identity costs 2K^3).  dsytri fills only the lower triangle; the upper
+    triangle keeps stale entries and is never read, because the next
+    subtraction is elementwise and dsytrf(lower=1) and the pivot-band view
+    read only the diagonal and below.  dsytri forms L^{-1} explicitly, so
+    its error grows with |L|, which partial Bunch-Kaufman pivoting does
+    not bound: a step whose L has an entry above L_GROWTH_MAX solves
+    against the identity with dsytrs instead (about one step in five on
+    a random K = 255 sweep, none on a constant potential).  On a nearly
+    singular sweep the dsytri error would otherwise reach the answer:
+    5e-12 relative on a K = 255 input where the solve gives 1e-14.  The
+    count of negative pivot blocks is, by Sylvester's law of inertia (the
+    sweep is a block LDL^T congruence), the number of negative
+    eigenvalues of the whole matrix.  Slices are consumed as the sweep
+    reaches them, so it keeps O(K^2) working memory besides the pivot
+    buffers of at most 4096 slices.  Pivot data is buffered and decoded
+    in vectorized chunks; exact LAPACK singularity reports surface
     immediately, anything below EPS_PIVOT surfaces at the chunk boundary
     naming the offending slice.
     """
     lwork = dsytrf_lwork(K)[0]
-    eye = np.eye(K, order="F")
 
-    # B_n is built in one zero-padded buffer that dsytrf factors in place
-    # (it is Fortran-contiguous, so the returned factor is B itself); the
+    # B_n is built in one zero-padded buffer that dsytrf factors and dsytri
+    # inverts in place (it is Fortran-contiguous, so the returned factor and
+    # inverse are B itself); a dsytrs step solves in place into X, which the
+    # first such step allocates, so no step allocates a K x K array.  The
     # diagonal and first subdiagonal of each factor -- the pivot blocks --
     # are then one fixed strided (2, K) view, whose last subdiagonal entry
     # is the padding and stays 0.  The hot loop stores only that band and
@@ -185,10 +225,13 @@ def _aform_logdet(slices: Iterable[np.ndarray], K: int, n_steps: int) -> LogDet:
     # the LAPACK wrappers take their options positionally (lower=1, lwork,
     # overwrite_a=1): parsing keywords costs about 1 us a call, a tenth of
     # a whole K = 15 step
-    trf, trs, sub = dsytrf, dsytrs, np.subtract
+    trf, tri, trs, lantr, sub = dsytrf, dsytri, dsytrs, dlantr, np.subtract
     inv = 0.0  # B_{n-1}^{-1}; there is none before the first slice
+    X = None
     for n, T in enumerate(slices, start=1):
-        # T is symmetric, so T.T is the same matrix in Fortran order
+        # T is symmetric, so T.T is the same matrix in Fortran order; after
+        # dsytri only the lower triangle of inv holds B_{n-1}^{-1}, and only
+        # the lower triangle of B is read from here on
         sub(T.T, inv, out=B)
         ldu, ipiv, info = trf(B, 1, lwork, 1)
         if info > 0:
@@ -214,7 +257,15 @@ def _aform_logdet(slices: Iterable[np.ndarray], K: int, n_steps: int) -> LogDet:
             min_pivot = min(min_pivot, piv)
             filled = 0
         if n < n_steps:
-            inv, info = trs(ldu, ipiv, eye, 1)
+            # dlantr: the largest |entry| below the diagonal, or 1
+            if lantr(b"M", ldu, b"L", b"U") <= L_GROWTH_MAX or _l_bounded(ldu, ipiv):
+                inv, info = tri(ldu, ipiv, 1, 1)
+            else:
+                if X is None:
+                    X = np.empty((K, K), order="F")
+                X.fill(0.0)
+                np.fill_diagonal(X, 1.0)
+                inv, info = trs(ldu, ipiv, X, 1, 1)
             if info != 0:
                 raise SingularCrossing(n, 0.0)
     if not math.isfinite(acc_log):
@@ -223,7 +274,7 @@ def _aform_logdet(slices: Iterable[np.ndarray], K: int, n_steps: int) -> LogDet:
         log_abs=acc_log,
         sign=-1 if n_negative % 2 else 1,
         method="matrix-A",
-        diagnostics=Diagnostics(min_pivot=min_pivot),
+        diagnostics=Diagnostics(min_pivot=min_pivot, n_negative=n_negative),
     )
 
 

@@ -30,6 +30,10 @@ class Diagnostics:
 
     min_pivot: float = math.inf
     rescale_count: int = 0
+    #: Negative eigenvalues of the matrix, by Sylvester's law of inertia
+    #: from the pivot blocks of a symmetric factorization; None where the
+    #: route does not count them.
+    n_negative: int | None = None
 
 
 @dataclass(frozen=True)
@@ -119,10 +123,10 @@ class SymmetricFactor:
         self.exact_singular = info > 0
         if info < 0:
             raise ValueError(f"dsytrf: illegal argument {-info}")
-        self.log_abs, n_negative, self.min_pivot = decode_bunch_kaufman(
+        self.log_abs, self.n_negative, self.min_pivot = decode_bunch_kaufman(
             self._ldu.diagonal(), self._ldu.diagonal(-1), self._ipiv
         )
-        self.sign = -1 if n_negative % 2 else 1
+        self.sign = -1 if self.n_negative % 2 else 1
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         x, info = dsytrs(self._ldu, self._ipiv, rhs, lower=1)
@@ -148,5 +152,5 @@ def dense_logdet(H: np.ndarray) -> LogDet:
         log_abs=fac.log_abs,
         sign=fac.sign,
         method="dense-LU",
-        diagnostics=Diagnostics(min_pivot=fac.min_pivot),
+        diagnostics=Diagnostics(min_pivot=fac.min_pivot, n_negative=fac.n_negative),
     )

@@ -328,15 +328,17 @@ def test_criterion_12_scaling_claim(capsys):
     in [5.0, 6.8] over 16..48 (sweep cost O(N K^3) vs O((N K)^3)).
 
     The gy-a window presumes the N = 16 anchor is flop-dominated.  In this
-    implementation a K = 15 sweep step takes ~8.5 us, of which ~5.7 us is
-    the two f2py LAPACK calls (dsytrf, dsytrs) that carry little
-    arithmetic at this size, so the N = 16 time sits above the flop count
-    and the fit lands near the window's lower edge: twelve runs on a
-    shared 2-vCPU machine gave 2.81-3.23.  The local slope across the
-    flop-dominated tail (64 -> 128), reported below, lands at ~3.5-4.3
-    against the theoretical 4, and the dense separation is clear; the
-    window is asserted as written regardless, so expect this test red in
-    some runs.
+    implementation a K = 15 sweep step is mostly the f2py LAPACK calls
+    (dsytrf, dlantr, dsytri) that carry little arithmetic at this size, so
+    the N = 16 time sits above the flop count and the fit lands below the
+    window's lower edge: five runs on a shared 2-vCPU machine gave
+    2.69-2.83, against 2.72-3.05 (two passes) for the earlier kernel that
+    inverted every step by a dsytrs solve against the identity (three
+    times the inverse's flops, which the large-K steps paid; the current
+    kernel still solves the steps whose L grows).  The local slope across
+    the tail (64 -> 128), reported below, landed at 3.2-3.3 against
+    3.6-3.7; the dense separation is clear.  The window is asserted as
+    written regardless, so expect this test red.
     """
     code = cli_main(
         ["bench", "--dim", "2", "--sizes", "16,32,64,128", "--methods", "gy-a",

@@ -32,6 +32,18 @@ I1_HUGE = {
     1e300: 690.7755278982137052053974364053092622803,
 }
 SINH_PRODUCT_8X8_AT_1E200 = 22565.33391134164770337631625590676923449
+# tiny masses, by 40-digit mpmath quadrature of the defining integral with
+# breakpoints at m 10^k, k = -2..3 (the integrand has a feature of width m
+# at x = 0)
+I1_TINY = {
+    1e-16: 1.166243616123275449264975,
+    1e-12: 1.166243616125829299321913,
+    1e-10: 1.166243616342046217445778,
+    1e-9: 1.166243618127752189651193,
+    1e-8: 1.166243634335706804872984,
+    1.0000001e-8: 1.166243634335708546538676,
+    1e-7: 1.166243779924201148977697,
+}
 
 
 def catalan_partial_sums(n_terms: int) -> float:
@@ -134,6 +146,27 @@ class TestQuadI1:
         t, w = np.polynomial.legendre.leggauss(240)
         ref = 0.5 * float(w @ f(0.5 * math.pi * (1.0 + t)))
         assert abs(quad_I1(m2) - ref) < 1e-11
+
+    @pytest.mark.parametrize("m2", np.logspace(-16, -8, 33).tolist())
+    def test_tiny_masses_match_small_mass_series(self, m2):
+        # the two-term series is within 0.05 ulp of I1 over this range (its
+        # neglected term is O(m^4 ln m^2)); plain adaptive quadrature missed
+        # the width-m feature at x = 0 and was up to 4.4e5 ulps low
+        want = 4 * CATALAN_LITERAL / math.pi + m2 / (4 * math.pi) * (math.log(32 / m2) + 1)
+        assert abs(quad_I1(m2) - want) <= 4 * math.ulp(want)
+
+    @pytest.mark.parametrize("m2,want", sorted(I1_TINY.items()))
+    def test_tiny_masses(self, m2, want):
+        # up to 1e-8 the small-mass series, above it the quadrature: both
+        # sides of the switch within 1 ulp of the pins, so I1 is continuous
+        # across it (plain quadrature was 4.4e5 ulps low at m^2 = 1e-10)
+        assert abs(quad_I1(m2) - want) <= math.ulp(want)
+
+    @pytest.mark.parametrize("m2", [1e-310, 5e-324])
+    def test_subnormal_masses(self, m2):
+        # 32/m^2 overflows here; I1 - 4G/pi is below 1e-304
+        assert quad_I1(m2) == pytest.approx(4 * CATALAN_LITERAL / math.pi, rel=1e-15)
+        assert math.isfinite(massive_asymptotic_logdet(m2, 32, 32).total)
 
 
 class TestQuadI2:

@@ -48,6 +48,7 @@ class TestDet:
         }
         assert abs(rec["log_abs_det"] - math.log(192)) < 1e-10
         assert rec["sign"] == 1
+        assert rec["diagnostics"]["n_negative"] == 0
         assert rec["inputs"]["potential"] == "constant(m2=0)"
 
     def test_free_1d_default_potential(self, capsys):

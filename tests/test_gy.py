@@ -3,7 +3,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.linalg.lapack import dsytrf
 
+from gydet import gy
 from gydet.errors import SingularCrossing
 from gydet.gy import (
     matrix_logdet_aform,
@@ -11,8 +13,14 @@ from gydet.gy import (
     scalar_logdet,
     scalar_y_solution,
 )
-from gydet.lattice import LatticeSpec, PotentialField, build_interior_hamiltonian
+from gydet.lattice import (
+    LatticeSpec,
+    PotentialField,
+    build_interior_hamiltonian,
+    transverse_laplacian,
+)
 from gydet.logdet import dense_logdet
+from gydet.oracles import sinh_product_logdet
 
 
 def tridiag_det_recurrence(V):
@@ -268,8 +276,9 @@ class TestSweepMemory:
 
         At N = 1025, M = 65 (K = 64, 1024 slices) the bound is the sum of
         - the working set: at most 16 K x K float64 matrices (the slice
-          base, the current slice, the inverse or the Y pair, the identity
-          and LAPACK's outputs), 16 * 8 K^2 bytes = 0.52 MB;
+          base, the current slice, the factored and inverted B and the
+          dsytrs buffer or the Y pair, and LAPACK's outputs),
+          16 * 8 K^2 bytes = 0.52 MB;
         - the A-form's pivot buffers: d, sub and ipiv rows, 8 bytes each,
           for min(N - 1, 4096) slices of K entries, plus at most five
           temporaries of that size made by one chunk decode: 8 * 8 R K
@@ -289,3 +298,159 @@ class TestSweepMemory:
         finally:
             tracemalloc.stop()
         assert peak < bound, f"peak {peak / 1e6:.1f} MB over {bound / 1e6:.2f} MB"
+
+
+def two_by_two_pivots_after_first(spec, pot):
+    """Rows in 2x2 Bunch-Kaufman blocks of B_2 .. B_{N-1}, from an
+    independent sweep that inverts each B_n with numpy."""
+    T0 = 2.0 * np.eye(spec.K) + transverse_laplacian(spec)
+    inv, rows = 0.0, []
+    for v in pot.values:
+        B = T0 + np.diag(v) - inv
+        rows.append(int(np.count_nonzero(dsytrf(B, lower=1)[1] < 0)))
+        inv = np.linalg.inv(B)
+    return sum(rows[1:])
+
+
+def assert_matches(ld, ref, rel=1e-12):
+    assert ld.sign == ref.sign
+    assert abs(ld.log_abs - ref.log_abs) <= rel * max(1.0, abs(ref.log_abs))
+
+
+class TestInPlaceInverse:
+    """The A-form inverts each block in place with dsytri, which fills only
+    the lower triangle and leaves stale entries above it."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_two_by_two_pivots(self, seed):
+        spec = LatticeSpec(d=2, N=12, M=11)
+        pot = PotentialField.random_uniform(spec, seed=seed, lo=-4.5, hi=-3.5)
+        assert two_by_two_pivots_after_first(spec, pot) > 0
+        ref = dense_logdet(build_interior_hamiltonian(spec, pot))
+        assert_matches(matrix_logdet_aform(spec, pot), ref)
+
+    def test_k1(self):
+        spec = LatticeSpec(d=2, N=40, M=2)
+        pot = PotentialField.random_uniform(spec, seed=3, lo=-5.0, hi=-1.0)
+        ref = dense_logdet(build_interior_hamiltonian(spec, pot))
+        assert ref.sign == -1
+        assert_matches(matrix_logdet_aform(spec, pot), ref)
+
+    def test_sweep_across_decode_chunks(self):
+        # 4099 slices: one full chunk of 4096 and a second of 3
+        spec = LatticeSpec(d=2, N=4100, M=3)
+        pot = PotentialField.constant(spec, 0.5)
+        assert_matches(matrix_logdet_aform(spec, pot), sinh_product_logdet(0.5, 4100, 3))
+
+    def test_nearly_singular_wide_sweep(self):
+        # K = 255, smallest pivot 0.049: a long-double (80-bit) Gauss-Jordan
+        # sweep of the same recursion gives ln|det| = 73790.49542483062.
+        # dsytri alone lands 5.9e-12 relative off here, solving every step
+        # 1.1e-14; the growth check keeps the mixed sweep near the latter
+        spec = LatticeSpec(d=2, N=256, M=256)
+        base = PotentialField.random_uniform(spec, seed=3833724231935326071)
+        pot = PotentialField(spec, base.values[::-1], ("mirror",) + base.provenance)
+        ld = matrix_logdet_aform(spec, pot)
+        assert ld.sign == -1
+        assert abs(ld.log_abs - 73790.49542483062) <= 5e-14 * 73790.49542483062
+
+    @pytest.mark.parametrize("n_slices", [2, 5])
+    def test_singular_later_slice(self, n_slices):
+        # K = 2: B_1 = [[1, -1], [-1, 2]] has the exact inverse [[2, 1], [1, 1]],
+        # so B_2 = [[2, -2], [-2, 2]] is exactly singular
+        spec = LatticeSpec(d=2, N=n_slices + 1, M=3)
+        V = np.zeros((n_slices, 2))
+        V[0] = (-3.0, -2.0)
+        V[1] = (0.0, -1.0)
+        pot = PotentialField(spec, V, ("file", "test"))
+        with pytest.raises(SingularCrossing) as exc:
+            matrix_logdet_aform(spec, pot)
+        assert exc.value.slice_index == 2
+
+
+def record_inverse_kernels(monkeypatch):
+    """The names of the dsytri and dsytrs calls the A-form makes from now
+    on, in call order."""
+    calls = []
+    for name in ("dsytri", "dsytrs"):
+        kernel = getattr(gy, name)
+
+        def recorded(*args, name=name, kernel=kernel):
+            calls.append(name)
+            return kernel(*args)
+
+        monkeypatch.setattr(gy, name, recorded)
+    return calls
+
+
+def block_tridiagonal(blocks):
+    """The matrix with the given diagonal blocks and -I off the diagonal."""
+    n, K = len(blocks), blocks[0].shape[0]
+    H = np.zeros((n * K, n * K))
+    for i, T in enumerate(blocks):
+        H[i * K:(i + 1) * K, i * K:(i + 1) * K] = T
+        if i:
+            H[i * K:(i + 1) * K, (i - 1) * K:i * K] = -np.eye(K)
+            H[(i - 1) * K:i * K, i * K:(i + 1) * K] = -np.eye(K)
+    return H
+
+
+class TestInverseKernelChoice:
+    """Each step inverts with dsytri unless its Bunch-Kaufman factor L has
+    an entry above L_GROWTH_MAX; then it solves with dsytrs."""
+
+    def test_constant_potential_never_solves(self, monkeypatch):
+        calls = record_inverse_kernels(monkeypatch)
+        spec = LatticeSpec(d=2, N=64, M=64)
+        ld = matrix_logdet_aform(spec, PotentialField.constant(spec, 0.5))
+        assert calls == ["dsytri"] * 62
+        assert_matches(ld, sinh_product_logdet(0.5, 64, 64))
+
+    def test_random_sweep_takes_both(self, monkeypatch):
+        calls = record_inverse_kernels(monkeypatch)
+        spec = LatticeSpec(d=2, N=40, M=40)
+        pot = PotentialField.random_uniform(spec, seed=1074)
+        ld = matrix_logdet_aform(spec, pot)
+        assert len(calls) == 38 and {"dsytri", "dsytrs"} == set(calls)
+        assert_matches(ld, dense_logdet(build_interior_hamiltonian(spec, pot)))
+
+    def test_growth_solves(self, monkeypatch):
+        # dsytrf takes 0.2 as a 1x1 pivot (|a11| sigma = 2 >= alpha |a21|^2),
+        # so L has the entry 1/0.2 = 5, and the Schur complement
+        # [[-4, 10], [10, 1]] is a 2x2 pivot block.  B_2 = 4I - B_1^{-1}
+        # needs no pivoting (|L| < 0.64); B_3 = grown - B_2^{-1} has a 2x2
+        # block again, whose off-diagonal 10.1 belongs to D, and |L| < 0.72
+        grown = np.array([[0.2, 1.0, 0.0], [1.0, 1.0, 10.0], [0.0, 10.0, 1.0]])
+        _, ipiv, _ = dsytrf(grown, lower=1)
+        assert list(ipiv) == [1, -3, -3]
+        blocks = [grown, 4.0 * np.eye(3), grown, 4.0 * np.eye(3)]
+        calls = record_inverse_kernels(monkeypatch)
+        ld = gy._aform_logdet(iter(blocks), 3, 4)
+        assert calls == ["dsytrs", "dsytri", "dsytri"]
+        assert_matches(ld, dense_logdet(block_tridiagonal(blocks)))
+
+    def test_two_by_two_block_entry_is_not_growth(self, monkeypatch):
+        # a 2x2 pivot block with off-diagonal 10 and nothing below it: L is
+        # the identity, so the entry 10 must not count as growth
+        swap = np.array([[0.0, 10.0], [10.0, 0.0]])
+        _, ipiv, _ = dsytrf(swap, lower=1)
+        assert list(ipiv) == [-2, -2]
+        blocks = [swap, 3.0 * np.eye(2), swap]
+        calls = record_inverse_kernels(monkeypatch)
+        ld = gy._aform_logdet(iter(blocks), 2, 3)
+        assert calls == ["dsytri", "dsytri"]
+        assert_matches(ld, dense_logdet(block_tridiagonal(blocks)))
+
+
+class TestInertia:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_negative_eigenvalue_count(self, seed):
+        spec = LatticeSpec(d=2, N=12, M=11)
+        base = PotentialField.random_uniform(spec, seed=seed)
+        pot = PotentialField(spec, base.values - 3.0, ("file", "synthetic"))
+        H = build_interior_hamiltonian(spec, pot)
+        want = int(np.count_nonzero(np.linalg.eigvalsh(H) < 0))
+        assert want > 0
+        for ld in (matrix_logdet_aform(spec, pot), dense_logdet(H)):
+            assert ld.diagnostics.n_negative == want
+            assert ld.sign == (-1) ** want
