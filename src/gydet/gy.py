@@ -53,6 +53,11 @@ RESCALE_THRESHOLD = 1e100
 #: there the sweep is 2.4e-14 or less from the solve-only sweep at bounds
 #: 1.56, 2 and 2.3 (the 2.3 sweeps solve 39-60 of their 255 steps),
 #: 6.5e-14 to 7.7e-14 at 2.78 and 3.2, and 5.9e-12 with dsytri alone.
+#: Against an 80-bit Gauss-Jordan sweep of that lattice, unmirrored, the
+#: sweep is 1.4e-15 off at 2.3 and 5.7e-14, 4.6e-14, 2.7e-13 and 1.4e-13
+#: off at 3, 4, 6 and 8, past the tests' 5e-14 at 3, 6 and 8.  Bounds of 4
+#: to 8 would make random K = 255 sweeps 1.3-1.5x faster, but only by
+#: giving up that accuracy.
 L_GROWTH_MAX = 2.3
 
 # Exact power-of-two scaling used by the projective scalar recursion.
@@ -130,18 +135,31 @@ def scalar_logdet(V: Sequence[float]) -> LogDet:
     )
 
 
-def _slices(spec: LatticeSpec, pot: PotentialField) -> Iterator[np.ndarray]:
+def _slices(spec: LatticeSpec, pot: PotentialField) -> Iterator[np.ndarray | None]:
     """Yield the N-1 diagonal blocks T_n = 2I - Delta_{d-1} + V_n one at a
-    time.  Every block is the same read-only C-ordered array, whose
-    diagonal is rewritten when the next one is asked for."""
+    time, or None for a block equal to the one before it (its row of
+    pot.values equals the previous row).  Every block is the same
+    read-only C-ordered array, whose diagonal is rewritten when the next
+    different block is asked for, so at a None it still holds the block
+    before.  The A-form skips work on runs of such blocks (see
+    _aform_logdet)."""
     T = 2.0 * np.eye(spec.K) + transverse_laplacian(spec)
     free_diag = T.diagonal().copy()  # the diagonal of 2I - Delta_{d-1}
     T_diag = T.ravel()[:: spec.K + 1]  # the same diagonal, through a view
     view = T.view()
     view.setflags(write=False)
-    for v in pot.values:
-        np.add(free_diag, v, out=T_diag)
-        yield view
+    rows = pot.values
+    # a row is compared in full only when its first entry repeats, so a
+    # potential that varies along the sweep pays one float comparison a
+    # slice (the memoryview yields Python floats, which compare fastest)
+    first_prev = v_prev = None
+    for first, v in zip(memoryview(rows[:, 0]), rows):
+        if first == first_prev and np.array_equal(v, v_prev):
+            yield None
+        else:
+            np.add(free_diag, v, T_diag)
+            yield view
+        first_prev, v_prev = first, v
 
 
 def matrix_logdet_aform(spec: LatticeSpec, pot: PotentialField) -> LogDet:
@@ -168,10 +186,20 @@ def _l_bounded(ldu: np.ndarray, ipiv: np.ndarray) -> bool:
     return bool(bounded)
 
 
-def _aform_logdet(slices: Iterable[np.ndarray], K: int, n_steps: int) -> LogDet:
+def _same_lower(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether the lower triangles of a and b, diagonal included, hold the
+    same bits.  The diagonal is compared first: until it agrees, no K x K
+    mask is made."""
+    if not np.array_equal(a.diagonal(), b.diagonal()):
+        return False
+    return not np.tril(a.view(np.int64) != b.view(np.int64)).any()
+
+
+def _aform_logdet(slices: Iterable[np.ndarray | None], K: int, n_steps: int) -> LogDet:
     """ln|det| and sign of the block-tridiagonal matrix with the n_steps
     symmetric K x K diagonal blocks T_n taken from slices and -I off the
     diagonal, by the bounded recursion B_1 = T_1, B_{n+1} = T_{n+1} - B_n^{-1}.
+    A slice given as None repeats the one before it; the first is never None.
 
     Each step factors B_n with symmetric (Bunch-Kaufman) pivoting; the
     pivot-block determinants accumulate into the answer and the same
@@ -196,6 +224,23 @@ def _aform_logdet(slices: Iterable[np.ndarray], K: int, n_steps: int) -> LogDet:
     in vectorized chunks; exact LAPACK singularity reports surface
     immediately, anything below EPS_PIVOT surfaces at the chunk boundary
     naming the offending slice.
+
+    A run of repeated slices drives B_n towards the fixed point B* of
+    B -> T - B^{-1}, whose ln|det| is the bulk term per slice, and in
+    floating point the sweep reaches it bitwise.  Inside a run the sweep
+    keeps a copy of B_{n-2}^{-1}; once the lower triangle of B_{n-1}^{-1}
+    equals it bitwise, B_n equals B_{n-1} bitwise and so does every later
+    block of the run, so the steps from n on would factor a bitwise
+    identical matrix.  They call neither dsytrf, the growth check nor
+    dsytri: each copies the previous row of the pivot buffers, and
+    B*^{-1} is kept for the next different slice.  The decode therefore
+    sees the rows a sweep factoring every step would store, and the
+    result is bit for bit the same.  On a constant potential at N = M =
+    256 the skip starts at step 49 (m^2 = 4) to 112 (m^2 = 0.25) of 255;
+    a massless sweep does not reach the fixed point within 255 steps at
+    M = 256, but does by step 56 at M = 9.  The copy costs one K x K
+    buffer, held only while a run of repeated slices has not yet
+    converged.  Diagnostics.factorizations counts the dsytrf calls.
     """
     lwork = dsytrf_lwork(K)[0]
 
@@ -221,25 +266,48 @@ def _aform_logdet(slices: Iterable[np.ndarray], K: int, n_steps: int) -> LogDet:
     n_negative = 0
     min_pivot = math.inf
     filled = 0
+    skipped = 0
 
     # the LAPACK wrappers take their options positionally (lower=1, lwork,
-    # overwrite_a=1): parsing keywords costs about 1 us a call, a tenth of
-    # a whole K = 15 step
+    # overwrite_a=1), and the ufuncs their output: parsing keywords costs
+    # about 1 us a LAPACK call and 0.1 us a ufunc call, against 8 us for a
+    # whole K = 15 step
     trf, tri, trs, lantr, sub = dsytrf, dsytri, dsytrs, dlantr, np.subtract
     inv = 0.0  # B_{n-1}^{-1}; there is none before the first slice
     X = None
+    ref = None  # B_{n-2}^{-1} inside a run of repeated slices
+    fixed = False  # whether B_n is the run's fixed point
     for n, T in enumerate(slices, start=1):
-        # T is symmetric, so T.T is the same matrix in Fortran order; after
-        # dsytri only the lower triangle of inv holds B_{n-1}^{-1}, and only
-        # the lower triangle of B is read from here on
-        sub(T.T, inv, out=B)
-        ldu, ipiv, info = trf(B, 1, lwork, 1)
-        if info > 0:
-            raise SingularCrossing(n, 0.0)
-        band_buf[:, filled] = band
-        i_buf[filled] = ipiv
+        if T is not None:
+            last, fixed, ref = T, False, None
+        elif not fixed:
+            # slice n repeats slice n - 1, so B_n = B_{n-1} once their
+            # inverses B_{n-1}^{-1} and B_{n-2}^{-1} agree
+            if ref is not None and _same_lower(inv, ref):
+                fixed, ref = True, None
+            else:
+                if ref is None:
+                    ref = np.empty((K, K), order="F")
+                np.copyto(ref, inv)
+        if fixed:
+            # the pivot rows of B_{n-1}; after a chunk decode, filled - 1 = -1
+            # is the last row of the decoded chunk
+            band_buf[:, filled] = band_buf[:, filled - 1]
+            i_buf[filled] = i_buf[filled - 1]
+            skipped += 1
+        else:
+            # T is symmetric, so T.T is the same matrix in Fortran order;
+            # after dsytri only the lower triangle of inv holds B_{n-1}^{-1},
+            # and only the lower triangle of B is read from here on
+            sub(last.T, inv, B)
+            ldu, ipiv, info = trf(B, 1, lwork, 1)
+            if info > 0:
+                raise SingularCrossing(n, 0.0)
+            band_buf[:, filled] = band
+            i_buf[filled] = ipiv
         filled += 1
         if filled == chunk or n == n_steps:
+            ref = None  # freed before the decode, whose temporaries set the peak memory
             log_abs, nneg, piv = decode_bunch_kaufman(
                 band_buf[0, :filled], band_buf[1, :filled], i_buf[:filled]
             )
@@ -256,7 +324,7 @@ def _aform_logdet(slices: Iterable[np.ndarray], K: int, n_steps: int) -> LogDet:
             n_negative += nneg
             min_pivot = min(min_pivot, piv)
             filled = 0
-        if n < n_steps:
+        if n < n_steps and not fixed:
             # dlantr: the largest |entry| below the diagonal, or 1
             if lantr(b"M", ldu, b"L", b"U") <= L_GROWTH_MAX or _l_bounded(ldu, ipiv):
                 inv, info = tri(ldu, ipiv, 1, 1)
@@ -274,7 +342,9 @@ def _aform_logdet(slices: Iterable[np.ndarray], K: int, n_steps: int) -> LogDet:
         log_abs=acc_log,
         sign=-1 if n_negative % 2 else 1,
         method="matrix-A",
-        diagnostics=Diagnostics(min_pivot=min_pivot, n_negative=n_negative),
+        diagnostics=Diagnostics(
+            min_pivot=min_pivot, n_negative=n_negative, factorizations=n_steps - skipped
+        ),
     )
 
 
@@ -304,7 +374,9 @@ def matrix_logdet_yform(spec: LatticeSpec, pot: PotentialField) -> LogDet:
     Y = np.eye(K)
     log_scale = 0.0
     rescales = 0
-    for n, T in enumerate(_slices(spec, pot), start=1):
+    for n, S in enumerate(_slices(spec, pot), start=1):
+        if S is not None:  # None repeats the slice before
+            T = S
         Y, Y_prev = T @ Y - Y_prev, Y
         peak = np.abs(Y).max()
         if not math.isfinite(peak):

@@ -34,6 +34,10 @@ class Diagnostics:
     #: from the pivot blocks of a symmetric factorization; None where the
     #: route does not count them.
     n_negative: int | None = None
+    #: Bunch-Kaufman factorizations (dsytrf calls) of the bounded sweep,
+    #: which skips them on a run of repeated slices at its fixed point;
+    #: None for every other route.
+    factorizations: int | None = None
 
 
 @dataclass(frozen=True)
@@ -87,7 +91,7 @@ def decode_bunch_kaufman(d: np.ndarray, sub: np.ndarray, ipiv: np.ndarray):
     if min_pivot == 0.0:
         log_abs = -math.inf
     else:
-        log_abs = float(np.log(ad1).sum()) if ad1.size else 0.0
+        log_abs = float(np.log(ad1, out=ad1).sum()) if ad1.size else 0.0
     if has_2x2:
         sub = np.asarray(sub).ravel()
         firsts = np.flatnonzero(neg)[::2]

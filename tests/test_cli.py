@@ -49,6 +49,7 @@ class TestDet:
         assert abs(rec["log_abs_det"] - math.log(192)) < 1e-10
         assert rec["sign"] == 1
         assert rec["diagnostics"]["n_negative"] == 0
+        assert rec["diagnostics"]["factorizations"] == 2
         assert rec["inputs"]["potential"] == "constant(m2=0)"
 
     def test_free_1d_default_potential(self, capsys):
@@ -70,6 +71,7 @@ class TestDet:
         }
         # frozen from the eigenvalue-product oracle for (m2, N, M) = (1, 4, 5)
         assert abs(rec["log_abs_det"] - 18.520807948695325) < 1e-9
+        assert (rec["diagnostics"]["factorizations"] is None) == (method != "gy-a")
 
     def test_huge_mass(self, capsys):
         # exited 1 with "log_abs must be finite, got nan"; gy-a gave this value

@@ -342,15 +342,18 @@ class TestInPlaceInverse:
         pot = PotentialField.constant(spec, 0.5)
         assert_matches(matrix_logdet_aform(spec, pot), sinh_product_logdet(0.5, 4100, 3))
 
-    def test_nearly_singular_wide_sweep(self):
+    @pytest.mark.parametrize("mirror", [True, False], ids=["mirrored", "unmirrored"])
+    def test_nearly_singular_wide_sweep(self, mirror):
         # K = 255, smallest pivot 0.049: a long-double (80-bit) Gauss-Jordan
-        # sweep of the same recursion gives ln|det| = 73790.49542483062.
-        # dsytri alone lands 5.9e-12 relative off here, solving every step
-        # 1.1e-14; the growth check keeps the mixed sweep near the latter
+        # sweep of the same recursion gives ln|det| = 73790.49542483062 for
+        # the lattice and its mirror image.  Mirrored, dsytri alone lands
+        # 5.9e-12 relative off, solving every step 1.1e-14; the growth check
+        # keeps the mixed sweep near the latter.  Unmirrored, the mixed sweep
+        # is 1.4e-15 off, and 5.7e-14 to 2.7e-13 with L_GROWTH_MAX at 3, 6, 8
         spec = LatticeSpec(d=2, N=256, M=256)
         base = PotentialField.random_uniform(spec, seed=3833724231935326071)
         pot = PotentialField(spec, base.values[::-1], ("mirror",) + base.provenance)
-        ld = matrix_logdet_aform(spec, pot)
+        ld = matrix_logdet_aform(spec, pot if mirror else base)
         assert ld.sign == -1
         assert abs(ld.log_abs - 73790.49542483062) <= 5e-14 * 73790.49542483062
 
@@ -400,10 +403,11 @@ class TestInverseKernelChoice:
     an entry above L_GROWTH_MAX; then it solves with dsytrs."""
 
     def test_constant_potential_never_solves(self, monkeypatch):
+        # past the fixed point the steps invert nothing (TestFixedPointSkip)
         calls = record_inverse_kernels(monkeypatch)
         spec = LatticeSpec(d=2, N=64, M=64)
         ld = matrix_logdet_aform(spec, PotentialField.constant(spec, 0.5))
-        assert calls == ["dsytri"] * 62
+        assert set(calls) == {"dsytri"} and len(calls) < 62
         assert_matches(ld, sinh_product_logdet(0.5, 64, 64))
 
     def test_random_sweep_takes_both(self, monkeypatch):
@@ -440,6 +444,127 @@ class TestInverseKernelChoice:
         ld = gy._aform_logdet(iter(blocks), 2, 3)
         assert calls == ["dsytri", "dsytri"]
         assert_matches(ld, dense_logdet(block_tridiagonal(blocks)))
+
+
+def every_slice(spec, pot):
+    """The slices T_n of pot, each a fresh array, so none is marked as a
+    repeat of the one before and the A-form factors every step."""
+    T0 = 2.0 * np.eye(spec.K) + transverse_laplacian(spec)
+    for v in pot.values:
+        T = T0.copy()
+        np.fill_diagonal(T, T0.diagonal() + v)
+        yield T
+
+
+def assert_bit_identical(spec, pot):
+    """gy-a on pot returns exactly what a sweep factoring every step does,
+    and raises the same SingularCrossing; the result, or None."""
+    try:
+        ref = gy._aform_logdet(every_slice(spec, pot), spec.K, spec.N - 1)
+    except SingularCrossing as exc:
+        with pytest.raises(SingularCrossing) as got:
+            matrix_logdet_aform(spec, pot)
+        assert (got.value.slice_index, got.value.pivot) == (exc.slice_index, exc.pivot)
+        return None
+    ld = matrix_logdet_aform(spec, pot)
+    want = ref.diagnostics
+    assert ld.log_abs == ref.log_abs and ld.sign == ref.sign
+    assert ld.diagnostics.min_pivot == want.min_pivot
+    assert ld.diagnostics.n_negative == want.n_negative
+    assert want.factorizations == spec.N - 1
+    return ld
+
+
+def factored_steps(monkeypatch, spec, pot):
+    """The slices at which gy-a calls dsytrf on pot."""
+    consumed, steps = [], []
+    factor = gy.dsytrf
+
+    def counted():
+        for T in gy._slices(spec, pot):
+            consumed.append(T)
+            yield T
+
+    def recorded(*args):
+        steps.append(len(consumed))
+        return factor(*args)
+
+    monkeypatch.setattr(gy, "dsytrf", recorded)
+    gy._aform_logdet(counted(), spec.K, spec.N - 1)
+    return steps
+
+
+def stripes(spec, length, seed):
+    """A potential constant over runs of `length` slices, drawn per run
+    uniform on [0, 3) for each transverse site."""
+    runs = -(-(spec.N - 1) // length)
+    V = np.random.default_rng(seed).uniform(0.0, 3.0, size=(runs, spec.K))
+    return PotentialField(spec, np.repeat(V, length, axis=0)[: spec.N - 1], ("file", "stripes"))
+
+
+class TestFixedPointSkip:
+    """On a run of repeated slices gy-a stops factoring once B_n reaches the
+    fixed point bitwise, and copies the fixed pivot rows instead."""
+
+    @pytest.mark.parametrize(
+        "d, N, M, m2",
+        [(2, 64, 64, 0.0), (2, 64, 64, 0.25), (2, 64, 64, 4.0), (3, 12, 12, 0.0),
+         (3, 12, 12, 0.25), (3, 12, 12, 4.0), (2, 300, 9, 0.0), (3, 40, 6, 4.0),
+         (2, 64, 64, -0.5)],
+    )
+    def test_constant_is_bit_identical(self, d, N, M, m2):
+        spec = LatticeSpec(d=d, N=N, M=M)
+        assert_bit_identical(spec, PotentialField.constant(spec, m2))
+
+    def test_massive_constant_skips_random_does_not(self):
+        spec = LatticeSpec(d=2, N=64, M=64)
+        for m2 in (0.5, 4.0):
+            ld = assert_bit_identical(spec, PotentialField.constant(spec, m2))
+            assert ld.diagnostics.factorizations < 63
+        ld = assert_bit_identical(spec, PotentialField.random_uniform(spec, seed=2))
+        assert ld.diagnostics.factorizations == 63
+
+    @pytest.mark.parametrize("N, M, runs", [(256, 256, 1), (200, 10, 2)])
+    def test_central_defect(self, monkeypatch, N, M, runs):
+        # six random slices amid m^2 = 0.5: the sweep reaches the fixed point,
+        # leaves it at the defect and, on the narrow lattice, reaches it again
+        spec = LatticeSpec(d=2, N=N, M=M)
+        V = np.full((N - 1, spec.K), 0.5)
+        mid = (N - 1) // 2
+        V[mid - 3:mid + 3] = np.random.default_rng(0).uniform(-1, 1, (6, spec.K))
+        pot = PotentialField(spec, V, ("file", "defect"))
+        ld = assert_bit_identical(spec, pot)
+        steps = factored_steps(monkeypatch, spec, pot)
+        assert len(steps) == ld.diagnostics.factorizations
+        assert set(range(mid - 2, mid + 4)) <= set(steps)  # the defect
+        skipped = sorted(set(range(1, N)) - set(steps))
+        assert 1 + sum(b - a > 1 for a, b in zip(skipped, skipped[1:])) == runs
+
+    def test_stripes_across_decode_chunk(self, monkeypatch):
+        # 4,199 slices in runs of 300: the run over slices 3,901-4,199 is at
+        # its fixed point where the first 4,096-row chunk is decoded
+        spec = LatticeSpec(d=2, N=4200, M=6)
+        pot = stripes(spec, 300, seed=1)
+        ld = assert_bit_identical(spec, pot)
+        assert ld.diagnostics.factorizations < 4199 // 2
+        assert not {4096, 4097} & set(factored_steps(monkeypatch, spec, pot))
+
+    def test_crossing_after_fixed_point(self):
+        # K = 1 at its fixed point up to slice 6,000, then the spike and the
+        # sub-threshold pivot of test_sub_threshold_crossing_past_first_chunk
+        spec = LatticeSpec(d=2, N=9001, M=2)
+        free = matrix_logdet_aform(spec, PotentialField.constant(spec, 0.0))
+        assert free.diagnostics.factorizations < 100
+        V = np.zeros((spec.N - 1, 1))
+        V[6000] = 1e305
+        V[6001] = -4.0
+        assert assert_bit_identical(spec, PotentialField(spec, V, ("file", "test"))) is None
+
+    def test_singular_constant(self):
+        spec = LatticeSpec(d=2, N=64, M=64)
+        with pytest.raises(SingularCrossing) as exc:
+            matrix_logdet_aform(spec, PotentialField.constant(spec, -4.0))
+        assert exc.value.slice_index == 1
 
 
 class TestInertia:
