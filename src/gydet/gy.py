@@ -195,6 +195,12 @@ def _same_lower(a: np.ndarray, b: np.ndarray) -> bool:
     return not np.tril(a.view(np.int64) != b.view(np.int64)).any()
 
 
+def _decode_rows(K: int) -> int:
+    """Slices whose pivot data the A-form buffers between two decodes:
+    about 8192 entries of K per slice, and at most 4096 slices."""
+    return min(4096, max(1, 8192 // K))
+
+
 def _aform_logdet(slices: Iterable[np.ndarray | None], K: int, n_steps: int) -> LogDet:
     """ln|det| and sign of the block-tridiagonal matrix with the n_steps
     symmetric K x K diagonal blocks T_n taken from slices and -I off the
@@ -219,11 +225,12 @@ def _aform_logdet(slices: Iterable[np.ndarray | None], K: int, n_steps: int) -> 
     count of negative pivot blocks is, by Sylvester's law of inertia (the
     sweep is a block LDL^T congruence), the number of negative
     eigenvalues of the whole matrix.  Slices are consumed as the sweep
-    reaches them, so it keeps O(K^2) working memory besides the pivot
-    buffers of at most 4096 slices.  Pivot data is buffered and decoded
-    in vectorized chunks; exact LAPACK singularity reports surface
-    immediately, anything below EPS_PIVOT surfaces at the chunk boundary
-    naming the offending slice.
+    reaches them, and pivot data is buffered for _decode_rows(K) slices,
+    about 8192 entries, then decoded in one vectorized chunk, so at any
+    n_steps the sweep holds a few K x K blocks and about 8192 pivot
+    entries.  Exact LAPACK singularity reports surface immediately,
+    anything below EPS_PIVOT surfaces at the chunk boundary naming the
+    offending slice.
 
     A run of repeated slices drives B_n towards the fixed point B* of
     B -> T - B^{-1}, whose ln|det| is the bulk term per slice, and in
@@ -257,7 +264,7 @@ def _aform_logdet(slices: Iterable[np.ndarray | None], K: int, n_steps: int) -> 
     B = store[: K * K].reshape((K, K), order="F")
     item = store.itemsize
     band = np.ndarray((2, K), buffer=store, strides=(item, (K + 1) * item))
-    chunk = 4096
+    chunk = _decode_rows(K)
     rows = min(chunk, n_steps)
     band_buf = np.empty((2, rows, K))  # rows of diagonals, rows of subdiagonals
     i_buf = np.empty((rows, K), dtype=np.intc)
@@ -307,7 +314,6 @@ def _aform_logdet(slices: Iterable[np.ndarray | None], K: int, n_steps: int) -> 
             i_buf[filled] = ipiv
         filled += 1
         if filled == chunk or n == n_steps:
-            ref = None  # freed before the decode, whose temporaries set the peak memory
             log_abs, nneg, piv = decode_bunch_kaufman(
                 band_buf[0, :filled], band_buf[1, :filled], i_buf[:filled]
             )

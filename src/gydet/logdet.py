@@ -144,12 +144,16 @@ def dense_logdet(H: np.ndarray) -> LogDet:
 
     Independent of every recursion route: one Bunch-Kaufman sweep over the
     full matrix, log_abs summed over pivot blocks, sign from their product.
+    It factors H.T, which is H when H is symmetric, from its lower
+    triangle, so only the upper triangle of H (diagonal included) is read.
+    A C-ordered H makes H.T Fortran-ordered, which LAPACK is handed as a
+    plain copy rather than a transposing one; H itself is never written.
     Raises SingularMatrix on an exact zero pivot.
     """
     H = np.asarray(H, dtype=float)
     if not np.isfinite(H).all():
         raise ValueError("matrix contains non-finite entries")
-    fac = SymmetricFactor(H)
+    fac = SymmetricFactor(H.T)
     if fac.exact_singular or not math.isfinite(fac.log_abs):
         raise SingularMatrix("exact zero pivot: determinant is zero")
     return LogDet(

@@ -216,6 +216,7 @@ class TestMatrixForms:
         # slice s is 0 - 1/B_{s-1} = -1e-305; dsytrf does not flag it, and
         # the chunked decode must name slice s
         spec = LatticeSpec(d=2, N=9001, M=2)
+        assert gy._decode_rows(spec.K) == 4096
         V = np.zeros((spec.N - 1, 1))
         V[s - 2] = 1e305
         V[s - 1] = -4.0
@@ -223,6 +224,20 @@ class TestMatrixForms:
         with pytest.raises(SingularCrossing) as exc:
             matrix_logdet_aform(spec, pot)
         assert exc.value.slice_index == s
+
+    @pytest.mark.parametrize("chunks, offset", [(1, 0), (1, 1), (2, 1)])
+    def test_sub_threshold_crossing_past_small_chunk(self, chunks, offset):
+        # K = 5 decodes every 1,638 slices; B_{s-1} ~ 1e305 I, so
+        # B_s = diag(0, 3, 3, 3, 3) - B_{s-1}^{-1} has a 1x1 pivot near -1e-305
+        K = 5
+        s = chunks * gy._decode_rows(K) + offset
+        blocks = [4.0 * np.eye(K)] * (s + 3)
+        blocks[s - 2] = 1e305 * np.eye(K)
+        blocks[s - 1] = np.diag([0.0, 3.0, 3.0, 3.0, 3.0])
+        with pytest.raises(SingularCrossing) as exc:
+            gy._aform_logdet(iter(blocks), K, len(blocks))
+        assert exc.value.slice_index == s
+        assert exc.value.pivot == pytest.approx(1e-305, rel=1e-15)
 
     def test_gaussian_toy_needs_no_linear_term(self):
         # 2-slice toy: the quadratic-only recursion reproduces the dense
@@ -269,35 +284,69 @@ class TestStateIterators:
         assert abs(ld.log_abs - a.log_abs) < 1e-9 * abs(a.log_abs)
 
 
+def sweep_peak(route, spec, pot):
+    """tracemalloc peak of one sweep, in bytes.  Lazy imports and the
+    cached transverse Laplacian, which outlive the sweep, are made
+    beforehand."""
+    small = LatticeSpec(d=2, N=3, M=3)
+    route(small, PotentialField.constant(small, 1.0))
+    transverse_laplacian(spec)
+    tracemalloc.start()
+    try:
+        route(spec, pot)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestSweepMemory:
+    """A sweep keeps O(K^2) working memory at any length, not the O(N K^2)
+    slice stack: the A-form buffers the pivot data of _decode_rows(K)
+    slices, about 8192 entries, between two decodes.  A bound on the peak
+    is the sum of
+    - a working set of K x K float64 blocks;
+    - the A-form's pivot buffers: d, sub and ipiv rows, 8 bytes each, for
+      R = min(N - 1, _decode_rows(K)) slices of K entries, plus at most
+      five temporaries of that size made by one chunk decode: 8 * 8 R K
+      bytes."""
+
+    @staticmethod
+    def bound(spec, blocks):
+        K, rows = spec.K, min(spec.N - 1, gy._decode_rows(spec.K))
+        return blocks * 8 * K * K + 8 * 8 * rows * K
+
+    @pytest.mark.parametrize("route", [matrix_logdet_aform, matrix_logdet_yform])
+    def test_peak_memory_bounded(self, route):
+        """At N = 1025, M = 65 (K = 64, 1024 slices, R = 128) the working
+        set is at most 16 blocks (the slice base, the current slice, the
+        factored and inverted B and the dsytrs buffer or the Y pair, and
+        LAPACK's outputs), 0.52 MB, and the pivot term 0.52 MB.  That is
+        1.05 MB; a stack of all 1024 slices alone is 33.6 MB."""
+        spec = LatticeSpec(d=2, N=1025, M=65)
+        peak = sweep_peak(route, spec, PotentialField.constant(spec, 1.0))
+        bound = self.bound(spec, 16)
+        assert peak < bound, f"peak {peak / 1e6:.2f} MB over {bound / 1e6:.2f} MB"
+
     @pytest.mark.parametrize("route", [matrix_logdet_aform, matrix_logdet_yform])
     def test_peak_memory_independent_of_sweep_length(self, route):
-        """A sweep keeps O(K^2) working memory, not the O(N K^2) slice stack.
+        # K = 63: sixteen times the slices add less than a tenth to the peak
+        peaks = []
+        for N in (257, 4097):
+            spec = LatticeSpec(d=2, N=N, M=64)
+            peaks.append(sweep_peak(route, spec, PotentialField.constant(spec, 1.0)))
+        short, long = peaks
+        assert long <= 1.1 * short, f"{long / 1e6:.2f} MB at N = 4097, {short / 1e6:.2f} at 257"
 
-        At N = 1025, M = 65 (K = 64, 1024 slices) the bound is the sum of
-        - the working set: at most 16 K x K float64 matrices (the slice
-          base, the current slice, the factored and inverted B and the
-          dsytrs buffer or the Y pair, and LAPACK's outputs),
-          16 * 8 K^2 bytes = 0.52 MB;
-        - the A-form's pivot buffers: d, sub and ipiv rows, 8 bytes each,
-          for min(N - 1, 4096) slices of K entries, plus at most five
-          temporaries of that size made by one chunk decode: 8 * 8 R K
-          bytes = 4.19 MB with R = 1024 rows.
-        That is 4.72 MB; a stack of all 1024 slices alone is 33.6 MB.
-        """
-        spec = LatticeSpec(d=2, N=1025, M=65)
-        pot = PotentialField.constant(spec, 1.0)
-        small = LatticeSpec(d=2, N=3, M=3)
-        route(small, PotentialField.constant(small, 1.0))  # lazy imports
-        K, rows = spec.K, min(spec.N - 1, 4096)
-        bound = 16 * 8 * K * K + 8 * 8 * rows * K
-        tracemalloc.start()
-        try:
-            route(spec, pot)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < bound, f"peak {peak / 1e6:.1f} MB over {bound / 1e6:.2f} MB"
+    def test_peak_memory_three_dimensional(self):
+        """At d = 3, N = 300, M = 24 (K = 529, R = 15) one block is 2.24 MB,
+        so the working set of at most four blocks (the slice, B, the copy of
+        B_{n-2}^{-1} while the constant run converges or the dsytrs buffer,
+        and LAPACK's outputs) dominates: 8.96 MB, plus 0.51 MB of pivot
+        term."""
+        spec = LatticeSpec(d=3, N=300, M=24)
+        peak = sweep_peak(matrix_logdet_aform, spec, PotentialField.constant(spec, 1.0))
+        bound = self.bound(spec, 4)
+        assert peak < bound, f"peak {peak / 1e6:.2f} MB over {bound / 1e6:.2f} MB"
 
 
 def two_by_two_pivots_after_first(spec, pot):
@@ -339,6 +388,7 @@ class TestInPlaceInverse:
     def test_sweep_across_decode_chunks(self):
         # 4099 slices: one full chunk of 4096 and a second of 3
         spec = LatticeSpec(d=2, N=4100, M=3)
+        assert gy._decode_rows(spec.K) == 4096
         pot = PotentialField.constant(spec, 0.5)
         assert_matches(matrix_logdet_aform(spec, pot), sinh_product_logdet(0.5, 4100, 3))
 
@@ -541,13 +591,26 @@ class TestFixedPointSkip:
         assert 1 + sum(b - a > 1 for a, b in zip(skipped, skipped[1:])) == runs
 
     def test_stripes_across_decode_chunk(self, monkeypatch):
-        # 4,199 slices in runs of 300: the run over slices 3,901-4,199 is at
-        # its fixed point where the first 4,096-row chunk is decoded
+        # 4,199 slices in runs of 300, K = 5: each run is at its fixed point
+        # within 20 slices, so also where a chunk is decoded (after slices
+        # 1,638 and 3,276) and at the slice after
         spec = LatticeSpec(d=2, N=4200, M=6)
         pot = stripes(spec, 300, seed=1)
         ld = assert_bit_identical(spec, pot)
         assert ld.diagnostics.factorizations < 4199 // 2
-        assert not {4096, 4097} & set(factored_steps(monkeypatch, spec, pot))
+        rows = gy._decode_rows(spec.K)
+        ends = set(range(rows, spec.N - 1, rows))
+        assert len(ends) == 2
+        assert not (ends | {n + 1 for n in ends}) & set(factored_steps(monkeypatch, spec, pot))
+
+    def test_wide_fixed_run_across_decode_chunks(self):
+        # K = 255 decodes every 32 slices; m^2 = 4 stops factoring after
+        # slice 48, so the skipped run spans several decodes
+        spec = LatticeSpec(d=2, N=200, M=256)
+        ld = assert_bit_identical(spec, PotentialField.constant(spec, 4.0))
+        rows = gy._decode_rows(spec.K)
+        skipped = range(ld.diagnostics.factorizations + 1, spec.N)
+        assert rows == 32 and sum(n % rows == 0 for n in skipped) >= 4
 
     def test_crossing_after_fixed_point(self):
         # K = 1 at its fixed point up to slice 6,000, then the spike and the

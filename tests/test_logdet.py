@@ -139,6 +139,25 @@ class TestDenseLogdet:
         got = ld.sign * math.exp(ld.log_abs)
         assert abs(got - want) < 1e-13 * max(1.0, abs(want))
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_same_bits_as_fortran_copy(self, seed):
+        # symmetric and indefinite, so 2x2 pivot blocks appear; H is
+        # C-ordered, and factoring H.T spares LAPACK a transposing copy
+        rng = np.random.default_rng(seed)
+        A = rng.normal(size=(60, 60))
+        H = A + A.T
+        kept = H.copy()
+        ld = dense_logdet(H)
+        fac = SymmetricFactor(np.asfortranarray(H))
+        d = ld.diagnostics
+        assert (ld.log_abs, ld.sign, d.min_pivot, d.n_negative) == (
+            fac.log_abs, fac.sign, fac.min_pivot, fac.n_negative
+        )
+        assert np.array_equal(H.view(np.int64), kept.view(np.int64))
+        # only the upper triangle is read
+        H[np.tril_indices(60, -1)] = 7.0
+        assert dense_logdet(H) == ld
+
     def test_singular_raises(self):
         with pytest.raises(SingularMatrix):
             dense_logdet(np.zeros((2, 2)))
