@@ -211,7 +211,8 @@ def _laplacian(shape: tuple[int, ...]):
     return L
 
 
-@lru_cache(maxsize=32)
+# Each cached block can be 134 MB (K = 4096), so keep only a few.
+@lru_cache(maxsize=4)
 def _transverse_laplacian_cached(d: int, M: int) -> np.ndarray:
     K = (M - 1) ** (d - 1)
     if K > 4096:

@@ -23,6 +23,12 @@ from .errors import SingularMatrix
 #: Pivot magnitude below which a singular crossing is declared.
 EPS_PIVOT = 1e-300
 
+#: dense_logdet checks and restores H in square tiles of side TILE,
+#: widened for a small H until its diagonal tiles, which it saves whole,
+#: hold up to SAVED_MIN entries (2 MB) in all.
+TILE = 128
+SAVED_MIN = 1 << 18
+
 
 @dataclass(frozen=True)
 class Diagnostics:
@@ -112,7 +118,11 @@ class SymmetricFactor:
     """One Bunch-Kaufman factorization of a symmetric matrix.
 
     Wraps dsytrf output so callers can read the determinant data and solve
-    against the factors without refactorizing.
+    against the factors without refactorizing.  B is read from its lower
+    triangle, diagonal included.  With overwrite=True and a
+    Fortran-contiguous float64 B, the factors are written over that
+    triangle of B itself and its strict upper triangle is left untouched;
+    otherwise dsytrf works on a copy and B is never written.
     """
 
     def __init__(self, B: np.ndarray, overwrite: bool = False):
@@ -146,14 +156,38 @@ def dense_logdet(H: np.ndarray) -> LogDet:
     full matrix, log_abs summed over pivot blocks, sign from their product.
     It factors H.T, which is H when H is symmetric, from its lower
     triangle, so only the upper triangle of H (diagonal included) is read.
-    A C-ordered H makes H.T Fortran-ordered, which LAPACK is handed as a
-    plain copy rather than a transposing one; H itself is never written.
-    Raises SingularMatrix on an exact zero pivot.
+
+    A writeable C-ordered H is factored in place, so the call needs no
+    second n x n matrix.  H is written during the call and restored bit
+    for bit before it returns, also when SingularMatrix is raised, so it
+    must not be read from another thread meanwhile.  The restore copies
+    H's diagonal tiles back from a saved copy (at most the larger of
+    n x TILE and SAVED_MIN entries) and the rest of its upper triangle from
+    the lower one, transposed; that is exact because a check before the
+    factorization finds the two triangles equal there bit for bit.  Where
+    they differ, and for read-only, Fortran-ordered or strided inputs,
+    LAPACK works on a copy and H is never written.
+    Raises ValueError on a non-finite entry and SingularMatrix on an exact
+    zero pivot.
     """
     H = np.asarray(H, dtype=float)
-    if not np.isfinite(H).all():
-        raise ValueError("matrix contains non-finite entries")
-    fac = SymmetricFactor(H.T)
+    if H.ndim != 2 or H.shape[0] != H.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {H.shape}")
+    A = H.T
+    n = A.shape[0]
+    side = max(TILE, SAVED_MIN // max(n, 1))
+    tiles = [slice(i, i + side) for i in range(0, n, side)]
+    if _finite_and_mirrored(A, tiles) and A.flags.f_contiguous and A.flags.writeable:
+        saved = [A[t, t].copy(order="F") for t in tiles]
+        try:
+            fac = SymmetricFactor(A, overwrite=True)
+        finally:
+            for k, t in enumerate(tiles):
+                A[t, t] = saved[k]
+                for u in tiles[k + 1:]:
+                    A[u, t] = A[t, u].T
+    else:
+        fac = SymmetricFactor(A)
     if fac.exact_singular or not math.isfinite(fac.log_abs):
         raise SingularMatrix("exact zero pivot: determinant is zero")
     return LogDet(
@@ -162,3 +196,23 @@ def dense_logdet(H: np.ndarray) -> LogDet:
         method="dense-LU",
         diagnostics=Diagnostics(min_pivot=fac.min_pivot, n_negative=fac.n_negative),
     )
+
+
+def _finite_and_mirrored(A: np.ndarray, tiles: list[slice]) -> bool:
+    """Whether every tile of A below its diagonal tiles mirrors its partner.
+
+    A[u, t] mirrors A[t, u] when it equals its transpose.  Compares bits
+    through an int64 view, so a zero's sign counts, and stops comparing at
+    the first tile that differs.  Raises ValueError if any entry of A is
+    not finite.  Both checks run tile by tile (np.isfinite over whole
+    columns of tiles), so neither makes an n x n temporary.
+    """
+    bits = A.view(np.int64)
+    mirrored = True
+    for k, t in enumerate(tiles):
+        if not np.isfinite(A[:, t]).all():
+            raise ValueError("matrix contains non-finite entries")
+        mirrored = mirrored and all(
+            np.array_equal(bits[t, u], bits[u, t].T) for u in tiles[k + 1:]
+        )
+    return mirrored

@@ -4,10 +4,12 @@ import pytest
 from gydet.asymptotics import massive_asymptotic_logdet, massless_asymptotic_logdet
 from gydet.continuum import TransversePotential2D, ratio_logdet_2d_truncated
 from gydet.errors import PotentialFileError, SizeCapExceeded
+from gydet.gy import matrix_logdet_aform
 from gydet.lattice import (
     LatticeSpec,
     PotentialField,
     build_interior_hamiltonian,
+    _transverse_laplacian_cached,
     transverse_eigenvalues,
     transverse_laplacian,
     transverse_slice,
@@ -250,6 +252,13 @@ class TestTransverse:
         assert L.shape == (4, 4)
         assert (L.diagonal() == 4.0).all()
         assert np.array_equal(L, L.T)
+
+    def test_cache_stays_bounded(self):
+        # each cached block is dense K x K, up to 134 MB at K = 4096
+        for M in (3, 4, 5, 6, 7, 8):
+            spec = LatticeSpec(d=2, N=4, M=M)
+            matrix_logdet_aform(spec, PotentialField.constant(spec, 0.5))
+        assert _transverse_laplacian_cached.cache_info().currsize <= 4
 
 
 class TestHamiltonian:

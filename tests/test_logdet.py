@@ -1,10 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from gydet.errors import SingularMatrix
-from gydet.logdet import LogDet, SymmetricFactor, decode_bunch_kaufman, dense_logdet
+from gydet.logdet import SAVED_MIN, TILE, LogDet, SymmetricFactor, decode_bunch_kaufman, dense_logdet
 
 
 def cofactor_det_3x3(A):
@@ -165,3 +166,121 @@ class TestDenseLogdet:
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             dense_logdet(np.array([[1.0, np.nan], [np.nan, 1.0]]))
+
+    def test_shape_error_names_the_given_shape(self):
+        with pytest.raises(ValueError, match=r"\(2, 3\)"):
+            dense_logdet(np.ones((2, 3)))
+
+
+def symmetric_indefinite(n, seed):
+    """Symmetric and indefinite, so 2x2 pivot blocks appear."""
+    A = np.random.default_rng(seed).normal(size=(n, n))
+    return A + A.T
+
+
+def upper_triangle_factor(H):
+    """The factorization dense_logdet must reproduce: H's upper triangle,
+    handed to LAPACK as a Fortran-ordered copy."""
+    return SymmetricFactor(np.asfortranarray(H.T))
+
+
+def traced_peak(H):
+    tracemalloc.start()
+    try:
+        ld = dense_logdet(H)
+        return ld, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def assert_same_bits(H, kept):
+    assert np.array_equal(H.view(np.int64), kept.view(np.int64))
+
+
+def assert_matches_factor(ld, fac):
+    d = ld.diagnostics
+    assert (ld.log_abs, ld.sign, d.min_pivot, d.n_negative) == (
+        fac.log_abs, fac.sign, fac.min_pivot, fac.n_negative
+    )
+
+
+class TestDenseInPlace:
+    """A writeable C-ordered symmetric H is factored in place and restored."""
+
+    def test_no_second_matrix(self):
+        H = symmetric_indefinite(1500, 0)
+        kept = H.copy()
+        _, peak = traced_peak(H)
+        assert peak < H.nbytes / 4
+        assert_same_bits(H, kept)
+
+    # test_same_bits_as_fortran_copy covers one tile; these span several
+    @pytest.mark.parametrize("n", [600, 900])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_same_bits_as_copy(self, n, seed):
+        assert max(TILE, SAVED_MIN // n) < n
+        H = symmetric_indefinite(n, seed)
+        kept = H.copy()
+        fac = upper_triangle_factor(H)
+        assert (fac._ipiv < 0).any()
+        assert_matches_factor(dense_logdet(H), fac)
+        assert_same_bits(H, kept)
+
+    @pytest.mark.parametrize("n", [3, 600])
+    def test_restored_after_singular(self, n):
+        H = np.zeros((n, n))
+        H[1:, 1:] = symmetric_indefinite(n - 1, 4)
+        kept = H.copy()
+        with pytest.raises(SingularMatrix):
+            dense_logdet(H)
+        assert_same_bits(H, kept)
+
+    def test_repeated_calls_agree(self):
+        # `bench --methods dense` factors the same H again and again
+        H = symmetric_indefinite(600, 5)
+        kept = H.copy()
+        first = dense_logdet(H)
+        assert dense_logdet(H) == first and dense_logdet(H) == first
+        assert_same_bits(H, kept)
+
+    @pytest.mark.parametrize(
+        "where", [(500, 7), (9, 4)], ids=["off-diagonal-tile", "diagonal-tile"]
+    )
+    def test_nan_below_diagonal_raises(self, where):
+        H = symmetric_indefinite(600, 6)
+        H[where] = np.nan
+        kept = H.copy()
+        with pytest.raises(ValueError, match="non-finite"):
+            dense_logdet(H)
+        assert_same_bits(H, kept)
+
+
+def read_only(H):
+    H = H.copy()
+    H.setflags(write=False)
+    return H
+
+
+def signed_zero_pair(H):
+    # differs from H.T only in the sign of one zero, off the diagonal tiles
+    H = H.copy()
+    H[3, 600] = -0.0
+    H[600, 3] = 0.0
+    return H
+
+
+class TestDenseCopyPath:
+    """Inputs that cannot be restored in place are factored from a copy."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [read_only, np.asfortranarray, lambda H: H[::2, ::2], signed_zero_pair],
+        ids=["read-only", "fortran", "strided", "signed-zero"],
+    )
+    def test_copy_path(self, make):
+        H = make(symmetric_indefinite(900, 7))
+        kept = H.copy()
+        ld, peak = traced_peak(H)
+        assert peak >= H.nbytes
+        assert_matches_factor(ld, upper_triangle_factor(H))
+        assert_same_bits(H, kept)
