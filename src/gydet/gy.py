@@ -39,8 +39,8 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 from scipy.linalg.lapack import dgetrf, dlantr, dsytrf, dsytrf_lwork, dsytri, dsytrs
 
-from .errors import NonFiniteRecursion, SingularCrossing
-from .lattice import LatticeSpec, PotentialField, transverse_laplacian
+from .errors import NonFiniteRecursion, SingularCrossing, SizeCapExceeded
+from .lattice import BLOCK_CAP, LatticeSpec, PotentialField, transverse_laplacian
 from .logdet import EPS_PIVOT, Diagnostics, LogDet, decode_bunch_kaufman
 
 #: Entry magnitude that triggers a Y-form rescale.
@@ -59,6 +59,18 @@ RESCALE_THRESHOLD = 1e100
 #: to 8 would make random K = 255 sweeps 1.3-1.5x faster, but only by
 #: giving up that accuracy.
 L_GROWTH_MAX = 2.3
+
+#: Columns of the identity that a guarded A-form step solves for at a time
+#: (see _solve_inverse).  It must stay a multiple of 8: OpenBLAS's dger,
+#: which dsytrs calls for every pivot, groups the right-hand sides by four
+#: columns, and a panel that starts off that grid rounds differently from
+#: one solve against the whole identity.  Panels of 32, 40 and 64 columns
+#: matched that solve bit for bit at K = 121 to 255; 67-column panels
+#: moved the last three columns of each panel by up to 4.5e-15 at K = 121.
+_PANEL = 64
+
+# The strict upper triangle of a _PANEL x _PANEL square.
+_UPPER = np.triu(np.ones((_PANEL, _PANEL), dtype=bool), 1)
 
 # Exact power-of-two scaling used by the projective scalar recursion.
 _SCALE_HI = 2.0**512
@@ -136,17 +148,22 @@ def scalar_logdet(V: Sequence[float]) -> LogDet:
 
 
 def _slices(spec: LatticeSpec, pot: PotentialField) -> Iterator[np.ndarray | None]:
-    """Yield the N-1 diagonal blocks T_n = 2I - Delta_{d-1} + V_n one at a
-    time, or None for a block equal to the one before it (its row of
-    pot.values equals the previous row).  Every block is the same
-    read-only C-ordered array, whose diagonal is rewritten when the next
-    different block is asked for, so at a None it still holds the block
-    before.  The A-form skips work on runs of such blocks (see
-    _aform_logdet)."""
-    T = 2.0 * np.eye(spec.K) + transverse_laplacian(spec)
-    free_diag = T.diagonal().copy()  # the diagonal of 2I - Delta_{d-1}
-    T_diag = T.ravel()[:: spec.K + 1]  # the same diagonal, through a view
-    view = T.view()
+    """Yield the diagonals t_n = 2d + V_n of the N-1 blocks
+    T_n = 2I - Delta_{d-1} + V_n one at a time, or None for a block equal
+    to the one before it (its row of pot.values equals the previous row).
+    The off-diagonal part of every block is the stencil -Delta_{d-1} on
+    spec.transverse_shape(), which the consumer applies itself, so no
+    K x K slice is made.  Every diagonal is the same read-only array,
+    rewritten when the next different block is asked for, so at a None it
+    still holds the diagonal before.  The A-form skips work on runs of such
+    blocks (see _aform_logdet)."""
+    if spec.K > BLOCK_CAP:
+        raise SizeCapExceeded(
+            f"transverse block K={spec.K} too large for a dense K x K matrix"
+        )
+    free = np.array(2.0 * spec.d)  # the diagonal of 2I - Delta_{d-1}
+    t = np.empty(spec.K)
+    view = t.view()
     view.setflags(write=False)
     rows = pot.values
     # a row is compared in full only when its first entry repeats, so a
@@ -157,7 +174,7 @@ def _slices(spec: LatticeSpec, pot: PotentialField) -> Iterator[np.ndarray | Non
         if first == first_prev and np.array_equal(v, v_prev):
             yield None
         else:
-            np.add(free_diag, v, T_diag)
+            np.add(free, v, t)
             yield view
         first_prev, v_prev = first, v
 
@@ -167,7 +184,36 @@ def matrix_logdet_aform(spec: LatticeSpec, pot: PotentialField) -> LogDet:
     (see _aform_logdet), over the slices T_n = 2I - Delta_{d-1} + V_n."""
     if pot.spec != spec:
         raise ValueError("potential was built for a different lattice")
-    return _aform_logdet(_slices(spec, pot), spec.K, spec.N - 1)
+    return _aform_logdet(_slices(spec, pot), spec.K, spec.N - 1, spec.transverse_shape())
+
+
+def _stencil_bands(store: np.ndarray, shape: tuple[int, ...]) -> list:
+    """The strictly lower neighbour bands of the stencil -Delta on a box of
+    the given interior shape (lattice order, last axis fastest; see
+    lattice._laplacian), in the K x K Fortran-ordered matrix held by the
+    first K*K entries of store.  One (view, mask) pair per axis: the view
+    is the band whose offset is the axis' stride s, entry j of it being
+    matrix entry (j + s, j), and mask is 1 where sites j and j + s are
+    neighbours and 0 across a face of the box.  Along the slowest axis no
+    pair crosses a face, so its mask is all ones; in 2-D that band is the
+    first subdiagonal and the only one.  Subtracting mask from each view
+    subtracts the stencil's -1 entries below the diagonal and leaves every
+    other entry as it is."""
+    K = math.prod(shape)
+    item = store.itemsize
+    bands = []
+    stride = K
+    for axis, m in enumerate(shape):
+        stride //= m
+        view = np.ndarray(
+            (K - stride,), buffer=store, offset=stride * item, strides=((K + 1) * item,)
+        )
+        if axis == 0:
+            mask = np.ones(K - stride)
+        else:
+            mask = (np.arange(K - stride) // stride % m != m - 1) * 1.0
+        bands.append((view, mask))
+    return bands
 
 
 def _l_bounded(ldu: np.ndarray, ipiv: np.ndarray) -> bool:
@@ -188,11 +234,61 @@ def _l_bounded(ldu: np.ndarray, ipiv: np.ndarray) -> bool:
 
 def _same_lower(a: np.ndarray, b: np.ndarray) -> bool:
     """Whether the lower triangles of a and b, diagonal included, hold the
-    same bits.  The diagonal is compared first: until it agrees, no K x K
-    mask is made."""
+    same bits.  The diagonal is compared first; until it agrees, no mask is
+    made, and then the rest is compared _PANEL columns at a time, so no
+    mask is larger than K x _PANEL."""
     if not np.array_equal(a.diagonal(), b.diagonal()):
         return False
-    return not np.tril(a.view(np.int64) != b.view(np.int64)).any()
+    a, b = a.view(np.int64), b.view(np.int64)
+    K = a.shape[0]
+    for c in range(0, K, _PANEL):
+        e = min(c + _PANEL, K)
+        if (a[e:, c:e] != b[e:, c:e]).any():
+            return False
+        if (a[c:e, c:e] != b[c:e, c:e])[_UPPER[: e - c, : e - c].T].any():
+            return False
+    return True
+
+
+def _solve_inverse(ldu: np.ndarray, ipiv: np.ndarray) -> int:
+    """Overwrite the lower triangle of the dsytrf(lower=1) factor ldu, in
+    place, with that of the inverse dsytrs computes against the identity,
+    and return dsytrs' info.  Because dsytrs still needs the factor, the
+    identity is solved _PANEL columns at a time into one K x _PANEL
+    buffer: each panel's entries below the diagonal go transposed into the
+    strict upper triangle of ldu, which the factor leaves unused, and its
+    diagonal into a K-vector.  Once the last panel is solved they are
+    mirrored into the lower triangle, a strip of _PANEL columns at a time,
+    and the K-vector onto the diagonal.  The panels reproduce the whole
+    solve bit for bit, as _PANEL says.  For K <= _PANEL the one panel is
+    the whole inverse and is copied over ldu."""
+    K = ldu.shape[0]
+    panel = np.zeros((K, min(K, _PANEL)), order="F")
+    if K <= _PANEL:
+        np.fill_diagonal(panel, 1.0)
+        X, info = dsytrs(ldu, ipiv, panel, 1, 1)
+        np.copyto(ldu, X)
+        return info
+    diag = np.empty(K)
+    for c in range(0, K, _PANEL):
+        e = min(c + _PANEL, K)
+        upper = _UPPER[: e - c, : e - c]
+        X = panel[:, : e - c]
+        X.fill(0.0)
+        np.fill_diagonal(X[c:e], 1.0)
+        X, info = dsytrs(ldu, ipiv, X, 1, 1)
+        if info != 0:
+            return info
+        ldu[c:e, e:] = X[e:].T
+        np.copyto(ldu[c:e, c:e], X[c:e].T, where=upper)
+        diag[c:e] = X[c:e].diagonal()
+    for c in range(0, K, _PANEL):
+        e = min(c + _PANEL, K)
+        ldu[e:, c:e] = ldu[c:e, e:].T
+        square = ldu[c:e, c:e]
+        np.copyto(square, square.T, where=_UPPER[: e - c, : e - c].T)
+    np.fill_diagonal(ldu, diag)
+    return 0
 
 
 def _decode_rows(K: int) -> int:
@@ -201,11 +297,23 @@ def _decode_rows(K: int) -> int:
     return min(4096, max(1, 8192 // K))
 
 
-def _aform_logdet(slices: Iterable[np.ndarray | None], K: int, n_steps: int) -> LogDet:
+def _aform_logdet(
+    slices: Iterable[np.ndarray | None],
+    K: int,
+    n_steps: int,
+    shape: tuple[int, ...] | None = None,
+) -> LogDet:
     """ln|det| and sign of the block-tridiagonal matrix with the n_steps
     symmetric K x K diagonal blocks T_n taken from slices and -I off the
     diagonal, by the bounded recursion B_1 = T_1, B_{n+1} = T_{n+1} - B_n^{-1}.
     A slice given as None repeats the one before it; the first is never None.
+    Without shape each slice is the dense block T_n.  With shape, each is
+    the diagonal t_n of T_n = 2I - Delta + diag(V_n) on a transverse box of
+    that interior shape (see _slices): the sweep forms B_n as
+    0 - B_{n-1}^{-1}, adds t_n on the diagonal and subtracts 1 on the
+    stencil's neighbour bands below it (_stencil_bands).  That gives the
+    dense subtraction's lower triangle bit for bit, because 0 - x is exact,
+    fl(t - x) = fl(-x + t) and fl(-1 - x) = fl(-x - 1).
 
     Each step factors B_n with symmetric (Bunch-Kaufman) pivoting; the
     pivot-block determinants accumulate into the answer and the same
@@ -214,23 +322,25 @@ def _aform_logdet(slices: Iterable[np.ndarray | None], K: int, n_steps: int) -> 
     place over the factors in about 2K^3/3 flops (a solve against the
     identity costs 2K^3).  dsytri fills only the lower triangle; the upper
     triangle keeps stale entries and is never read, because the next
-    subtraction is elementwise and dsytrf(lower=1) and the pivot-band view
+    block is formed elementwise and dsytrf(lower=1) and the pivot-band view
     read only the diagonal and below.  dsytri forms L^{-1} explicitly, so
     its error grows with |L|, which partial Bunch-Kaufman pivoting does
     not bound: a step whose L has an entry above L_GROWTH_MAX solves
     against the identity with dsytrs instead (about one step in five on
-    a random K = 255 sweep, none on a constant potential).  On a nearly
-    singular sweep the dsytri error would otherwise reach the answer:
-    5e-12 relative on a K = 255 input where the solve gives 1e-14.  The
-    count of negative pivot blocks is, by Sylvester's law of inertia (the
-    sweep is a block LDL^T congruence), the number of negative
-    eigenvalues of the whole matrix.  Slices are consumed as the sweep
-    reaches them, and pivot data is buffered for _decode_rows(K) slices,
-    about 8192 entries, then decoded in one vectorized chunk, so at any
-    n_steps the sweep holds a few K x K blocks and about 8192 pivot
-    entries.  Exact LAPACK singularity reports surface immediately,
-    anything below EPS_PIVOT surfaces at the chunk boundary naming the
-    offending slice.
+    a random K = 255 sweep, none on a constant potential), in column
+    panels that leave the inverse in place as dsytri does
+    (_solve_inverse).  On a nearly singular sweep the dsytri error would
+    otherwise reach the answer: 5e-12 relative on a K = 255 input where
+    the solve gives 1e-14.  The count of negative pivot blocks is, by
+    Sylvester's law of inertia (the sweep is a block LDL^T congruence),
+    the number of negative eigenvalues of the whole matrix.  Slices are
+    consumed as the sweep reaches them, and pivot data is buffered for
+    _decode_rows(K) slices, about 8192 entries, then decoded in one
+    vectorized chunk.  So at any n_steps the sweep holds one K x K block,
+    B_n, in which it factors and inverts; a K x _PANEL panel while a step
+    solves; and about 8192 pivot entries.  Exact LAPACK singularity
+    reports surface immediately, anything below EPS_PIVOT surfaces at the
+    chunk boundary naming the offending slice.
 
     A run of repeated slices drives B_n towards the fixed point B* of
     B -> T - B^{-1}, whose ln|det| is the bulk term per slice, and in
@@ -252,18 +362,19 @@ def _aform_logdet(slices: Iterable[np.ndarray | None], K: int, n_steps: int) -> 
     lwork = dsytrf_lwork(K)[0]
 
     # B_n is built in one zero-padded buffer that dsytrf factors and dsytri
-    # inverts in place (it is Fortran-contiguous, so the returned factor and
-    # inverse are B itself); a dsytrs step solves in place into X, which the
-    # first such step allocates, so no step allocates a K x K array.  The
-    # diagonal and first subdiagonal of each factor -- the pivot blocks --
-    # are then one fixed strided (2, K) view, whose last subdiagonal entry
-    # is the padding and stays 0.  The hot loop stores only that band and
-    # the pivot vector per step; everything is decoded in vectorized
-    # chunks afterwards.
+    # or _solve_inverse inverts in place (it is Fortran-contiguous, so the
+    # returned factor and inverse are B itself), so no step allocates a
+    # K x K array.  The diagonal and first subdiagonal of each factor --
+    # the pivot blocks -- are then one fixed strided (2, K) view, whose
+    # last subdiagonal entry is the padding and stays 0.  The hot loop
+    # stores only that band and the pivot vector per step; everything is
+    # decoded in vectorized chunks afterwards.
     store = np.zeros(K * K + 1)
     B = store[: K * K].reshape((K, K), order="F")
     item = store.itemsize
     band = np.ndarray((2, K), buffer=store, strides=(item, (K + 1) * item))
+    diag = band[0]
+    bands = None if shape is None else _stencil_bands(store, shape)
     chunk = _decode_rows(K)
     rows = min(chunk, n_steps)
     band_buf = np.empty((2, rows, K))  # rows of diagonals, rows of subdiagonals
@@ -279,9 +390,9 @@ def _aform_logdet(slices: Iterable[np.ndarray | None], K: int, n_steps: int) -> 
     # overwrite_a=1), and the ufuncs their output: parsing keywords costs
     # about 1 us a LAPACK call and 0.1 us a ufunc call, against 8 us for a
     # whole K = 15 step
-    trf, tri, trs, lantr, sub = dsytrf, dsytri, dsytrs, dlantr, np.subtract
-    inv = 0.0  # B_{n-1}^{-1}; there is none before the first slice
-    X = None
+    trf, tri, lantr, add, sub = dsytrf, dsytri, dlantr, np.add, np.subtract
+    zero = np.zeros(())  # a 0-d array, which a ufunc takes faster than 0.0
+    inv = zero  # B_{n-1}^{-1}, held in B; there is none before the first slice
     ref = None  # B_{n-2}^{-1} inside a run of repeated slices
     fixed = False  # whether B_n is the run's fixed point
     for n, T in enumerate(slices, start=1):
@@ -303,10 +414,16 @@ def _aform_logdet(slices: Iterable[np.ndarray | None], K: int, n_steps: int) -> 
             i_buf[filled] = i_buf[filled - 1]
             skipped += 1
         else:
-            # T is symmetric, so T.T is the same matrix in Fortran order;
-            # after dsytri only the lower triangle of inv holds B_{n-1}^{-1},
-            # and only the lower triangle of B is read from here on
-            sub(last.T, inv, B)
+            # only the lower triangle of inv holds B_{n-1}^{-1}, and only the
+            # lower triangle of B is read from here on
+            if bands is None:
+                # T is symmetric, so T.T is the same matrix in Fortran order
+                sub(last.T, inv, B)
+            else:
+                sub(zero, inv, B)
+                add(diag, last, diag)
+                for view, mask in bands:
+                    sub(view, mask, view)
             ldu, ipiv, info = trf(B, 1, lwork, 1)
             if info > 0:
                 raise SingularCrossing(n, 0.0)
@@ -335,11 +452,7 @@ def _aform_logdet(slices: Iterable[np.ndarray | None], K: int, n_steps: int) -> 
             if lantr(b"M", ldu, b"L", b"U") <= L_GROWTH_MAX or _l_bounded(ldu, ipiv):
                 inv, info = tri(ldu, ipiv, 1, 1)
             else:
-                if X is None:
-                    X = np.empty((K, K), order="F")
-                X.fill(0.0)
-                np.fill_diagonal(X, 1.0)
-                inv, info = trs(ldu, ipiv, X, 1, 1)
+                inv, info = ldu, _solve_inverse(ldu, ipiv)
             if info != 0:
                 raise SingularCrossing(n, 0.0)
     if not math.isfinite(acc_log):
@@ -357,9 +470,11 @@ def _aform_logdet(slices: Iterable[np.ndarray | None], K: int, n_steps: int) -> 
 def matrix_logdet_yform(spec: LatticeSpec, pot: PotentialField) -> LogDet:
     """Sign-tracked ln|det(-Delta_d + V)| from the growing matrix solution.
 
-    Propagates Y_n to n = N with periodic rescaling (each rescale adds
-    K*log(scale) to the accumulator) and reads ln|det Y_N| plus the sign
-    from one final pivoted factorization.  Y_N is a product of symmetric
+    Each slice T_n = 2I - Delta_{d-1} + V_n is made dense, in one K x K
+    array whose diagonal is set from _slices.  Propagates Y_n to n = N
+    with periodic rescaling (each rescale adds K*log(scale) to the
+    accumulator) and reads ln|det Y_N| plus the sign from one final
+    pivoted factorization.  Y_N is a product of symmetric
     factors but not symmetric itself, so the final step uses general LU.
     Retained as an independent cross-check of the bounded route.
 
@@ -376,13 +491,15 @@ def matrix_logdet_yform(spec: LatticeSpec, pot: PotentialField) -> LogDet:
     if pot.spec != spec:
         raise ValueError("potential was built for a different lattice")
     K = spec.K
+    T = transverse_laplacian(spec).copy()  # its diagonal is rewritten per slice
+    T_diag = T.ravel()[:: K + 1]
     Y_prev = np.zeros((K, K))
     Y = np.eye(K)
     log_scale = 0.0
     rescales = 0
-    for n, S in enumerate(_slices(spec, pot), start=1):
-        if S is not None:  # None repeats the slice before
-            T = S
+    for n, t in enumerate(_slices(spec, pot), start=1):
+        if t is not None:  # None repeats the slice before
+            T_diag[:] = t
         Y, Y_prev = T @ Y - Y_prev, Y
         peak = np.abs(Y).max()
         if not math.isfinite(peak):

@@ -9,8 +9,11 @@ longitudinal index slowest, which makes the block-tridiagonal structure
 explicit: diagonal blocks 2I - Delta_{d-1} + V_i, off-diagonal blocks -I.
 
 The stencil is written once, in `_laplacian`, as a scipy.sparse Kronecker
-sum of one-dimensional second differences; the transverse block, the
-slices and the dense operator are all taken from it.
+sum of one-dimensional second differences; the transverse block and the
+dense operator are taken from it.  The A-form sweep (`gy._stencil_bands`)
+applies the same stencil's neighbour bands to each block in place, and its
+tests compare that bit for bit against slices cut from the transverse
+block.
 
 Everything here is immutable after construction and safe to share between
 threads.
@@ -30,6 +33,10 @@ from .errors import PotentialFileError, SizeCapExceeded
 
 #: Dense construction is refused above this many rows.
 DENSE_CAP = 20000
+
+#: Sweeps are refused above this transverse block size K: each holds a
+#: dense K x K block, 134 MB at the cap.
+BLOCK_CAP = 4096
 
 
 def _check_int(name: str, value) -> None:
@@ -197,10 +204,11 @@ def _laplacian(shape: tuple[int, ...]):
 
     The Kronecker sum of one-dimensional second-difference matrices
     tridiag(-1, 2, -1), first axis slowest (lattice order); for no axes it
-    is the 1x1 zero matrix.  This is the one place the stencil is written:
-    the transverse block, the slices and the dense operator are all cut
-    from it.  scipy.sparse is imported here, not with the module, to keep
-    it out of `import gydet`.
+    is the 1x1 zero matrix.  This is the one place the stencil is written
+    as a matrix: the transverse block and the dense operator are cut from
+    it, and the A-form sweep's neighbour bands (gy._stencil_bands) are
+    tested bit for bit against it.  scipy.sparse is imported here, not
+    with the module, to keep it out of `import gydet`.
     """
     from scipy import sparse
 
@@ -215,7 +223,7 @@ def _laplacian(shape: tuple[int, ...]):
 @lru_cache(maxsize=4)
 def _transverse_laplacian_cached(d: int, M: int) -> np.ndarray:
     K = (M - 1) ** (d - 1)
-    if K > 4096:
+    if K > BLOCK_CAP:
         raise SizeCapExceeded(
             f"transverse block K={K} too large for a dense K x K matrix"
         )

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.linalg.lapack import dsytrf
+from scipy.linalg.lapack import dsytrf, dsytrs
 
 from gydet import gy
 from gydet.errors import SingularCrossing
@@ -304,27 +304,32 @@ class TestSweepMemory:
     slice stack: the A-form buffers the pivot data of _decode_rows(K)
     slices, about 8192 entries, between two decodes.  A bound on the peak
     is the sum of
-    - a working set of K x K float64 blocks;
-    - the A-form's pivot buffers: d, sub and ipiv rows, 8 bytes each, for
-      R = min(N - 1, _decode_rows(K)) slices of K entries, plus at most
-      five temporaries of that size made by one chunk decode: 8 * 8 R K
-      bytes."""
+    - a working set of K x K float64 blocks.  The A-form holds one, B_n,
+      in which each step factors and inverts, and a second, the copy of
+      B_{n-2}^{-1}, while a run of repeated slices has not converged;
+    - K x 64 float64 panels: dsytrf's workspace (dsytrf_lwork(K) = 64 K
+      entries) and the panel of a step that solves against the identity
+      (_solve_inverse), 8 * 64 K bytes each;
+    - the A-form's pivot buffers: d, sub and ipiv rows, at most 8 bytes
+      an entry, for R = min(N - 1, _decode_rows(K)) slices of K entries,
+      plus the temporaries of one chunk decode (two float64 copies of the
+      1x1 pivots and three masks of a byte an entry): 5 * 8 R K bytes."""
 
     @staticmethod
-    def bound(spec, blocks):
+    def bound(spec, blocks, panels):
         K, rows = spec.K, min(spec.N - 1, gy._decode_rows(spec.K))
-        return blocks * 8 * K * K + 8 * 8 * rows * K
+        return blocks * 8 * K * K + panels * 8 * 64 * K + 5 * 8 * rows * K
 
     @pytest.mark.parametrize("route", [matrix_logdet_aform, matrix_logdet_yform])
     def test_peak_memory_bounded(self, route):
         """At N = 1025, M = 65 (K = 64, 1024 slices, R = 128) the working
-        set is at most 16 blocks (the slice base, the current slice, the
-        factored and inverted B and the dsytrs buffer or the Y pair, and
-        LAPACK's outputs), 0.52 MB, and the pivot term 0.52 MB.  That is
-        1.05 MB; a stack of all 1024 slices alone is 33.6 MB."""
+        set is at most 16 blocks and a panel (the Y-form's slice, its Y pair
+        and their temporaries, and LAPACK's outputs), 0.56 MB, and the
+        pivot term 0.33 MB.  That is 0.88 MB; a stack of all 1024 slices
+        alone is 33.6 MB."""
         spec = LatticeSpec(d=2, N=1025, M=65)
         peak = sweep_peak(route, spec, PotentialField.constant(spec, 1.0))
-        bound = self.bound(spec, 16)
+        bound = self.bound(spec, 16, 1)
         assert peak < bound, f"peak {peak / 1e6:.2f} MB over {bound / 1e6:.2f} MB"
 
     @pytest.mark.parametrize("route", [matrix_logdet_aform, matrix_logdet_yform])
@@ -337,15 +342,25 @@ class TestSweepMemory:
         short, long = peaks
         assert long <= 1.1 * short, f"{long / 1e6:.2f} MB at N = 4097, {short / 1e6:.2f} at 257"
 
+    def test_peak_memory_with_guarded_steps(self):
+        """At N = M = 128 (K = 127, R = 64) a random sweep solves against
+        the identity on about one step in five, so the A-form holds B, the
+        workspace and the panel: 0.13 MB and two panels of 0.065 MB, plus
+        0.33 MB of pivot term, 0.58 MB.  A sweep that also keeps a dense
+        slice and a K x K solve buffer peaks at 0.70 MB."""
+        spec = LatticeSpec(d=2, N=128, M=128)
+        peak = sweep_peak(matrix_logdet_aform, spec, PotentialField.random_uniform(spec, seed=0))
+        bound = self.bound(spec, 1, 2)
+        assert peak < bound, f"peak {peak / 1e6:.2f} MB over {bound / 1e6:.2f} MB"
+
     def test_peak_memory_three_dimensional(self):
         """At d = 3, N = 300, M = 24 (K = 529, R = 15) one block is 2.24 MB,
-        so the working set of at most four blocks (the slice, B, the copy of
-        B_{n-2}^{-1} while the constant run converges or the dsytrs buffer,
-        and LAPACK's outputs) dominates: 8.96 MB, plus 0.51 MB of pivot
-        term."""
+        so the working set of two blocks (B and the copy of B_{n-2}^{-1}
+        while the constant run converges) dominates: 4.48 MB, plus 0.27 MB
+        of dsytrf workspace and 0.32 MB of pivot term."""
         spec = LatticeSpec(d=3, N=300, M=24)
         peak = sweep_peak(matrix_logdet_aform, spec, PotentialField.constant(spec, 1.0))
-        bound = self.bound(spec, 4)
+        bound = self.bound(spec, 2, 1)
         assert peak < bound, f"peak {peak / 1e6:.2f} MB over {bound / 1e6:.2f} MB"
 
 
@@ -422,18 +437,19 @@ class TestInPlaceInverse:
 
 
 def record_inverse_kernels(monkeypatch):
-    """The names of the dsytri and dsytrs calls the A-form makes from now
-    on, in call order."""
-    calls = []
-    for name in ("dsytri", "dsytrs"):
-        kernel = getattr(gy, name)
+    """The inverse kernel of each step the A-form inverts from now on, in
+    step order: "dsytri", or "dsytrs" for a step that solves against the
+    identity, however many column panels it takes (_solve_inverse)."""
+    steps = []
+    for name, attr in (("dsytri", "dsytri"), ("dsytrs", "_solve_inverse")):
+        kernel = getattr(gy, attr)
 
         def recorded(*args, name=name, kernel=kernel):
-            calls.append(name)
+            steps.append(name)
             return kernel(*args)
 
-        monkeypatch.setattr(gy, name, recorded)
-    return calls
+        monkeypatch.setattr(gy, attr, recorded)
+    return steps
 
 
 def block_tridiagonal(blocks):
@@ -450,7 +466,8 @@ def block_tridiagonal(blocks):
 
 class TestInverseKernelChoice:
     """Each step inverts with dsytri unless its Bunch-Kaufman factor L has
-    an entry above L_GROWTH_MAX; then it solves with dsytrs."""
+    an entry above L_GROWTH_MAX; then it solves with dsytrs, in column
+    panels."""
 
     def test_constant_potential_never_solves(self, monkeypatch):
         # past the fixed point the steps invert nothing (TestFixedPointSkip)
@@ -495,6 +512,18 @@ class TestInverseKernelChoice:
         assert calls == ["dsytri", "dsytri"]
         assert_matches(ld, dense_logdet(block_tridiagonal(blocks)))
 
+    @pytest.mark.parametrize("K", [39, 121, 255])
+    def test_panel_solve_is_whole_solve(self, K):
+        # a random symmetric matrix factors with 2x2 pivots and |L| past
+        # the bound; the inverse solved in panels, left in place, has the
+        # bits of one solve against the whole identity below the diagonal
+        A = np.random.default_rng(K).uniform(-1.0, 1.0, (K, K))
+        ldu, ipiv, _ = dsytrf(A + A.T, lower=1)
+        assert (ipiv < 0).any() and not gy._l_bounded(ldu, ipiv)
+        want = dsytrs(ldu, ipiv, np.eye(K), 1)[0]
+        assert gy._solve_inverse(ldu, ipiv) == 0
+        assert (np.tril(ldu).view(np.int64) == np.tril(want).view(np.int64)).all()
+
 
 def every_slice(spec, pot):
     """The slices T_n of pot, each a fresh array, so none is marked as a
@@ -528,19 +557,20 @@ def assert_bit_identical(spec, pot):
 def factored_steps(monkeypatch, spec, pot):
     """The slices at which gy-a calls dsytrf on pot."""
     consumed, steps = [], []
-    factor = gy.dsytrf
+    factor, slices = gy.dsytrf, gy._slices
 
-    def counted():
-        for T in gy._slices(spec, pot):
-            consumed.append(T)
-            yield T
+    def counted(*args):
+        for t in slices(*args):
+            consumed.append(t)
+            yield t
 
     def recorded(*args):
         steps.append(len(consumed))
         return factor(*args)
 
     monkeypatch.setattr(gy, "dsytrf", recorded)
-    gy._aform_logdet(counted(), spec.K, spec.N - 1)
+    monkeypatch.setattr(gy, "_slices", counted)
+    matrix_logdet_aform(spec, pot)
     return steps
 
 
@@ -565,6 +595,18 @@ class TestFixedPointSkip:
     def test_constant_is_bit_identical(self, d, N, M, m2):
         spec = LatticeSpec(d=d, N=N, M=M)
         assert_bit_identical(spec, PotentialField.constant(spec, m2))
+
+    @pytest.mark.parametrize("d, N, M, lo", [(3, 12, 12, -5.0), (4, 9, 6, -8.0)])
+    def test_guarded_random_is_bit_identical(self, monkeypatch, d, N, M, lo):
+        # V uniform in [lo, 1): most steps solve against the identity, in
+        # two panels at K = 121 and 125, and the stencil is masked at the
+        # faces of every axis but the slowest
+        spec = LatticeSpec(d=d, N=N, M=M)
+        pot = PotentialField.random_uniform(spec, seed=d, lo=lo, hi=1.0)
+        assert_bit_identical(spec, pot)
+        steps = record_inverse_kernels(monkeypatch)
+        matrix_logdet_aform(spec, pot)
+        assert steps.count("dsytrs") > (N - 2) // 2
 
     def test_massive_constant_skips_random_does_not(self):
         spec = LatticeSpec(d=2, N=64, M=64)
