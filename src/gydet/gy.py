@@ -39,8 +39,8 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 from scipy.linalg.lapack import dgetrf, dlantr, dsytrf, dsytrf_lwork, dsytri, dsytrs
 
-from .errors import NonFiniteRecursion, SingularCrossing, SizeCapExceeded
-from .lattice import BLOCK_CAP, LatticeSpec, PotentialField, transverse_laplacian
+from .errors import NonFiniteRecursion, SingularCrossing
+from .lattice import LatticeSpec, PotentialField, stencil_bands, transverse_laplacian
 from .logdet import EPS_PIVOT, Diagnostics, LogDet, decode_bunch_kaufman
 
 #: Entry magnitude that triggers a Y-form rescale.
@@ -148,22 +148,28 @@ def scalar_logdet(V: Sequence[float]) -> LogDet:
 
 
 def _slices(spec: LatticeSpec, pot: PotentialField) -> Iterator[np.ndarray | None]:
-    """Yield the diagonals t_n = 2d + V_n of the N-1 blocks
+    """Yield the diagonal and first subdiagonal of the N-1 blocks
     T_n = 2I - Delta_{d-1} + V_n one at a time, or None for a block equal
     to the one before it (its row of pot.values equals the previous row).
-    The off-diagonal part of every block is the stencil -Delta_{d-1} on
-    spec.transverse_shape(), which the consumer applies itself, so no
-    K x K slice is made.  Every diagonal is the same read-only array,
-    rewritten when the next different block is asked for, so at a None it
-    still holds the diagonal before.  The A-form skips work on runs of such
-    blocks (see _aform_logdet)."""
-    if spec.K > BLOCK_CAP:
-        raise SizeCapExceeded(
-            f"transverse block K={spec.K} too large for a dense K x K matrix"
-        )
+    Each is a complex K-vector pairing the entries (j, j) and (j + 1, j):
+    its real part is the diagonal 2d + V_n, its imaginary part the
+    stencil's first subdiagonal, with a 0 in the last entry.  That is the
+    layout of adjacent entries of a Fortran-ordered block (see
+    _aform_logdet), and since complex addition adds the two parts
+    separately, one vector addition applies both.  The rest of every
+    block, the stencil's farther bands (lattice.stencil_bands), is the same
+    for all n and is applied by the consumer, so no K x K slice is made.
+    Every slice is the same read-only array, rewritten when the next
+    different block is asked for, so at a None it still holds the block
+    before.  The A-form skips work on runs of such blocks (see
+    _aform_logdet)."""
     free = np.array(2.0 * spec.d)  # the diagonal of 2I - Delta_{d-1}
-    t = np.empty(spec.K)
-    view = t.view()
+    pairs = np.zeros(spec.K, dtype=complex)
+    for s, values in stencil_bands(spec.transverse_shape()):
+        if s == 1:
+            pairs.imag[:-1] = values
+    t = pairs.real
+    view = pairs.view()
     view.setflags(write=False)
     rows = pot.values
     # a row is compared in full only when its first entry repeats, so a
@@ -181,39 +187,13 @@ def _slices(spec: LatticeSpec, pot: PotentialField) -> Iterator[np.ndarray | Non
 
 def matrix_logdet_aform(spec: LatticeSpec, pot: PotentialField) -> LogDet:
     """Sign-tracked ln|det(-Delta_d + V)| via the bounded matrix recursion
-    (see _aform_logdet), over the slices T_n = 2I - Delta_{d-1} + V_n."""
+    (see _aform_logdet), over the slices T_n = 2I - Delta_{d-1} + V_n.
+    A transverse block above lattice.BLOCK_CAP sites is refused with
+    SizeCapExceeded before the sweep allocates anything."""
     if pot.spec != spec:
         raise ValueError("potential was built for a different lattice")
-    return _aform_logdet(_slices(spec, pot), spec.K, spec.N - 1, spec.transverse_shape())
-
-
-def _stencil_bands(store: np.ndarray, shape: tuple[int, ...]) -> list:
-    """The strictly lower neighbour bands of the stencil -Delta on a box of
-    the given interior shape (lattice order, last axis fastest; see
-    lattice._laplacian), in the K x K Fortran-ordered matrix held by the
-    first K*K entries of store.  One (view, mask) pair per axis: the view
-    is the band whose offset is the axis' stride s, entry j of it being
-    matrix entry (j + s, j), and mask is 1 where sites j and j + s are
-    neighbours and 0 across a face of the box.  Along the slowest axis no
-    pair crosses a face, so its mask is all ones; in 2-D that band is the
-    first subdiagonal and the only one.  Subtracting mask from each view
-    subtracts the stencil's -1 entries below the diagonal and leaves every
-    other entry as it is."""
-    K = math.prod(shape)
-    item = store.itemsize
-    bands = []
-    stride = K
-    for axis, m in enumerate(shape):
-        stride //= m
-        view = np.ndarray(
-            (K - stride,), buffer=store, offset=stride * item, strides=((K + 1) * item,)
-        )
-        if axis == 0:
-            mask = np.ones(K - stride)
-        else:
-            mask = (np.arange(K - stride) // stride % m != m - 1) * 1.0
-        bands.append((view, mask))
-    return bands
+    far = [(s, values) for s, values in stencil_bands(spec.transverse_shape()) if s > 1]
+    return _aform_logdet(_slices(spec, pot), spec.K, spec.N - 1, far)
 
 
 def _l_bounded(ldu: np.ndarray, ipiv: np.ndarray) -> bool:
@@ -301,19 +281,20 @@ def _aform_logdet(
     slices: Iterable[np.ndarray | None],
     K: int,
     n_steps: int,
-    shape: tuple[int, ...] | None = None,
+    bands: Sequence[tuple[int, np.ndarray]] | None = None,
 ) -> LogDet:
     """ln|det| and sign of the block-tridiagonal matrix with the n_steps
     symmetric K x K diagonal blocks T_n taken from slices and -I off the
     diagonal, by the bounded recursion B_1 = T_1, B_{n+1} = T_{n+1} - B_n^{-1}.
     A slice given as None repeats the one before it; the first is never None.
-    Without shape each slice is the dense block T_n.  With shape, each is
-    the diagonal t_n of T_n = 2I - Delta + diag(V_n) on a transverse box of
-    that interior shape (see _slices): the sweep forms B_n as
-    0 - B_{n-1}^{-1}, adds t_n on the diagonal and subtracts 1 on the
-    stencil's neighbour bands below it (_stencil_bands).  That gives the
-    dense subtraction's lower triangle bit for bit, because 0 - x is exact,
-    fl(t - x) = fl(-x + t) and fl(-1 - x) = fl(-x - 1).
+    Without bands each slice is the dense block T_n.  With bands, the
+    (offset, values) pairs of T_n's lower bands past the first subdiagonal
+    (lattice.stencil_bands), each slice is T_n's diagonal and first
+    subdiagonal paired as a complex K-vector (see _slices): the sweep forms
+    B_n as 0 - B_{n-1}^{-1}, adds the slice to the same pairs of B_n in one
+    complex addition and each band's values to that band of B_n.  That
+    gives the dense subtraction's lower triangle bit for bit, because
+    0 - x is exact and never -0, and fl(t - x) = fl(-x + t).
 
     Each step factors B_n with symmetric (Bunch-Kaufman) pivoting; the
     pivot-block determinants accumulate into the answer and the same
@@ -359,7 +340,7 @@ def _aform_logdet(
     buffer, held only while a run of repeated slices has not yet
     converged.  Diagnostics.factorizations counts the dsytrf calls.
     """
-    lwork = dsytrf_lwork(K)[0]
+    lwork = int(dsytrf_lwork(K)[0])  # the wrapper takes an int faster than a float
 
     # B_n is built in one zero-padded buffer that dsytrf factors and dsytri
     # or _solve_inverse inverts in place (it is Fortran-contiguous, so the
@@ -373,8 +354,16 @@ def _aform_logdet(
     B = store[: K * K].reshape((K, K), order="F")
     item = store.itemsize
     band = np.ndarray((2, K), buffer=store, strides=(item, (K + 1) * item))
-    diag = band[0]
-    bands = None if shape is None else _stencil_bands(store, shape)
+    # the same band as complex (B[j, j], B[j + 1, j]) pairs, to which a
+    # slice from _slices is added in one 1-D ufunc call (an addition to the
+    # (2, K) view takes numpy's 2-D strided loop, about 1.1 us against
+    # 0.45 us at K = 15), and the farther bands as strided views of B,
+    # entry j being B[j + s, j]
+    pairs = np.ndarray((K,), dtype=complex, buffer=store, strides=((K + 1) * item,))
+    stencil = None if bands is None else [
+        (np.ndarray((K - s,), buffer=store, offset=s * item, strides=((K + 1) * item,)), values)
+        for s, values in bands
+    ]
     chunk = _decode_rows(K)
     rows = min(chunk, n_steps)
     band_buf = np.empty((2, rows, K))  # rows of diagonals, rows of subdiagonals
@@ -416,14 +405,14 @@ def _aform_logdet(
         else:
             # only the lower triangle of inv holds B_{n-1}^{-1}, and only the
             # lower triangle of B is read from here on
-            if bands is None:
+            if stencil is None:
                 # T is symmetric, so T.T is the same matrix in Fortran order
                 sub(last.T, inv, B)
             else:
                 sub(zero, inv, B)
-                add(diag, last, diag)
-                for view, mask in bands:
-                    sub(view, mask, view)
+                add(pairs, last, pairs)
+                for view, values in stencil:
+                    add(view, values, view)
             ldu, ipiv, info = trf(B, 1, lwork, 1)
             if info > 0:
                 raise SingularCrossing(n, 0.0)
@@ -499,7 +488,7 @@ def matrix_logdet_yform(spec: LatticeSpec, pot: PotentialField) -> LogDet:
     rescales = 0
     for n, t in enumerate(_slices(spec, pot), start=1):
         if t is not None:  # None repeats the slice before
-            T_diag[:] = t
+            T_diag[:] = t.real
         Y, Y_prev = T @ Y - Y_prev, Y
         peak = np.abs(Y).max()
         if not math.isfinite(peak):

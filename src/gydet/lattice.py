@@ -10,10 +10,10 @@ explicit: diagonal blocks 2I - Delta_{d-1} + V_i, off-diagonal blocks -I.
 
 The stencil is written once, in `_laplacian`, as a scipy.sparse Kronecker
 sum of one-dimensional second differences; the transverse block and the
-dense operator are taken from it.  The A-form sweep (`gy._stencil_bands`)
-applies the same stencil's neighbour bands to each block in place, and its
-tests compare that bit for bit against slices cut from the transverse
-block.
+dense operator are taken from it.  `stencil_bands` lists the same
+stencil's neighbour bands for the A-form sweep, which applies them to its
+block in place; its tests compare them bit for bit against the
+transverse block.
 
 Everything here is immutable after construction and safe to share between
 threads.
@@ -206,9 +206,9 @@ def _laplacian(shape: tuple[int, ...]):
     tridiag(-1, 2, -1), first axis slowest (lattice order); for no axes it
     is the 1x1 zero matrix.  This is the one place the stencil is written
     as a matrix: the transverse block and the dense operator are cut from
-    it, and the A-form sweep's neighbour bands (gy._stencil_bands) are
-    tested bit for bit against it.  scipy.sparse is imported here, not
-    with the module, to keep it out of `import gydet`.
+    it, and `stencil_bands` is tested bit for bit against it.
+    scipy.sparse is imported here, not with the module, to keep it out of
+    `import gydet`.
     """
     from scipy import sparse
 
@@ -219,14 +219,42 @@ def _laplacian(shape: tuple[int, ...]):
     return L
 
 
-# Each cached block can be 134 MB (K = 4096), so keep only a few.
-@lru_cache(maxsize=4)
-def _transverse_laplacian_cached(d: int, M: int) -> np.ndarray:
-    K = (M - 1) ** (d - 1)
+def _check_block(K: int) -> None:
+    """Refuse a transverse block of more than BLOCK_CAP sites."""
     if K > BLOCK_CAP:
         raise SizeCapExceeded(
             f"transverse block K={K} too large for a dense K x K matrix"
         )
+
+
+@lru_cache(maxsize=4)
+def stencil_bands(shape: tuple[int, ...]) -> tuple[tuple[int, np.ndarray], ...]:
+    """The strictly lower neighbour bands of the Dirichlet -Delta on a box
+    with the given interior extents (lattice order, see _laplacian): one
+    (offset, values) pair per axis whose band is not empty.  The offset is
+    the axis' stride s in the site order, and values[j] is the matrix entry
+    (j + s, j): -1 where sites j and j + s are neighbours, 0 where they lie
+    on opposite faces of the box.  Refused with SizeCapExceeded, as the
+    transverse block is, above BLOCK_CAP sites; the values are read-only
+    (instances are cached)."""
+    K = math.prod(shape)
+    _check_block(K)
+    bands = []
+    stride = K
+    for m in shape:
+        stride //= m
+        if stride < K:
+            j = np.arange(K - stride)
+            values = np.where(j // stride % m == m - 1, 0.0, -1.0)
+            values.setflags(write=False)
+            bands.append((stride, values))
+    return tuple(bands)
+
+
+# Each cached block can be 134 MB (K = 4096), so keep only a few.
+@lru_cache(maxsize=4)
+def _transverse_laplacian_cached(d: int, M: int) -> np.ndarray:
+    _check_block((M - 1) ** (d - 1))
     L = _laplacian((M - 1,) * (d - 1)).toarray()
     L.setflags(write=False)
     return L

@@ -6,7 +6,7 @@ import pytest
 from scipy.linalg.lapack import dsytrf, dsytrs
 
 from gydet import gy
-from gydet.errors import SingularCrossing
+from gydet.errors import SingularCrossing, SizeCapExceeded
 from gydet.gy import (
     matrix_logdet_aform,
     matrix_logdet_yform,
@@ -209,6 +209,20 @@ class TestMatrixForms:
         with pytest.raises(SingularCrossing) as exc:
             matrix_logdet_aform(spec, pot)
         assert exc.value.slice_index == 1
+
+    @pytest.mark.parametrize("route", [matrix_logdet_aform, matrix_logdet_yform])
+    def test_block_cap_refused_before_allocating(self, route):
+        # K = 9,801: one K x K block would be 768 MB
+        spec = LatticeSpec(d=3, N=3, M=100)
+        pot = PotentialField.constant(spec, 1.0)
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeCapExceeded, match="K=9801"):
+                route(spec, pot)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * spec.K * 8
 
     @pytest.mark.parametrize("s", [4096, 4097, 8193])
     def test_sub_threshold_crossing_past_first_chunk(self, s):

@@ -4,12 +4,14 @@ import pytest
 from gydet.asymptotics import massive_asymptotic_logdet, massless_asymptotic_logdet
 from gydet.continuum import TransversePotential2D, ratio_logdet_2d_truncated
 from gydet.errors import PotentialFileError, SizeCapExceeded
-from gydet.gy import matrix_logdet_aform
+from gydet.gy import matrix_logdet_aform, matrix_logdet_yform
 from gydet.lattice import (
+    BLOCK_CAP,
     LatticeSpec,
     PotentialField,
     build_interior_hamiltonian,
     _transverse_laplacian_cached,
+    stencil_bands,
     transverse_eigenvalues,
     transverse_laplacian,
     transverse_slice,
@@ -254,11 +256,46 @@ class TestTransverse:
         assert np.array_equal(L, L.T)
 
     def test_cache_stays_bounded(self):
-        # each cached block is dense K x K, up to 134 MB at K = 4096
+        # each cached block is dense K x K, up to 134 MB at K = 4096; gy-y
+        # builds its slices from it (gy-a no longer does), so it fills the
+        # cache once for each of the six M
+        _transverse_laplacian_cached.cache_clear()
+        stencil_bands.cache_clear()
         for M in (3, 4, 5, 6, 7, 8):
             spec = LatticeSpec(d=2, N=4, M=M)
-            matrix_logdet_aform(spec, PotentialField.constant(spec, 0.5))
-        assert _transverse_laplacian_cached.cache_info().currsize <= 4
+            pot = PotentialField.constant(spec, 0.5)
+            matrix_logdet_yform(spec, pot)
+            matrix_logdet_aform(spec, pot)
+        for cached in (_transverse_laplacian_cached, stencil_bands):
+            info = cached.cache_info()
+            assert info.misses == 6 and info.currsize <= 4
+
+
+class TestStencilBands:
+    @pytest.mark.parametrize("d, M", [(1, 5), (2, 2), (2, 3), (2, 9), (3, 2), (3, 5), (3, 8), (4, 4)])
+    def test_bands_are_transverse_laplacian(self, d, M):
+        # the bands, written into a zero matrix, are the strict lower
+        # triangle of the transverse block bit for bit
+        spec = LatticeSpec(d=d, N=3, M=M)
+        L = transverse_laplacian(spec)
+        K = spec.K
+        got = np.zeros((K, K))
+        offsets = []
+        for s, values in stencil_bands(spec.transverse_shape()):
+            assert values.shape == (K - s,) and not values.flags.writeable
+            got[np.arange(s, K), np.arange(K - s)] = values
+            offsets.append(s)
+        assert (got.view(np.int64) == np.tril(L, -1).view(np.int64)).all()
+        assert len(set(offsets)) == len(offsets) == (d - 1 if K > 1 else 0)
+
+    def test_refused_above_cap_before_building(self):
+        shape = (65, 64)
+        assert 65 * 64 > BLOCK_CAP
+        with pytest.raises(SizeCapExceeded, match="K=4160"):
+            stencil_bands(shape)
+        spec = LatticeSpec(d=3, N=3, M=66)
+        with pytest.raises(SizeCapExceeded, match="K=4225"):
+            transverse_laplacian(spec)
 
 
 class TestHamiltonian:
