@@ -346,19 +346,18 @@ def _aform_logdet(
     # or _solve_inverse inverts in place (it is Fortran-contiguous, so the
     # returned factor and inverse are B itself), so no step allocates a
     # K x K array.  The diagonal and first subdiagonal of each factor --
-    # the pivot blocks -- are then one fixed strided (2, K) view, whose
-    # last subdiagonal entry is the padding and stays 0.  The hot loop
-    # stores only that band and the pivot vector per step; everything is
-    # decoded in vectorized chunks afterwards.
+    # the pivot blocks -- are then one fixed strided view of K complex
+    # (B[j, j], B[j + 1, j]) pairs, whose last subdiagonal entry is the
+    # padding and stays 0.  The hot loop stores only those pairs and the
+    # pivot vector per step; everything is decoded in vectorized chunks
+    # afterwards.  A slice from _slices is added to the same view: as a
+    # complex vector both the pairs and their copy are one 1-D ufunc call,
+    # where the (2, K) float view takes numpy's 2-D strided loop (about
+    # 1.1 us against 0.45 us an addition at K = 15).  The farther bands
+    # are strided views of B, entry j being B[j + s, j].
     store = np.zeros(K * K + 1)
     B = store[: K * K].reshape((K, K), order="F")
     item = store.itemsize
-    band = np.ndarray((2, K), buffer=store, strides=(item, (K + 1) * item))
-    # the same band as complex (B[j, j], B[j + 1, j]) pairs, to which a
-    # slice from _slices is added in one 1-D ufunc call (an addition to the
-    # (2, K) view takes numpy's 2-D strided loop, about 1.1 us against
-    # 0.45 us at K = 15), and the farther bands as strided views of B,
-    # entry j being B[j + s, j]
     pairs = np.ndarray((K,), dtype=complex, buffer=store, strides=((K + 1) * item,))
     stencil = None if bands is None else [
         (np.ndarray((K - s,), buffer=store, offset=s * item, strides=((K + 1) * item,)), values)
@@ -366,7 +365,7 @@ def _aform_logdet(
     ]
     chunk = _decode_rows(K)
     rows = min(chunk, n_steps)
-    band_buf = np.empty((2, rows, K))  # rows of diagonals, rows of subdiagonals
+    pair_buf = np.empty((rows, K), dtype=complex)
     i_buf = np.empty((rows, K), dtype=np.intc)
 
     acc_log = 0.0
@@ -399,7 +398,7 @@ def _aform_logdet(
         if fixed:
             # the pivot rows of B_{n-1}; after a chunk decode, filled - 1 = -1
             # is the last row of the decoded chunk
-            band_buf[:, filled] = band_buf[:, filled - 1]
+            pair_buf[filled] = pair_buf[filled - 1]
             i_buf[filled] = i_buf[filled - 1]
             skipped += 1
         else:
@@ -416,18 +415,20 @@ def _aform_logdet(
             ldu, ipiv, info = trf(B, 1, lwork, 1)
             if info > 0:
                 raise SingularCrossing(n, 0.0)
-            band_buf[:, filled] = band
+            pair_buf[filled] = pairs
             i_buf[filled] = ipiv
         filled += 1
         if filled == chunk or n == n_steps:
             log_abs, nneg, piv = decode_bunch_kaufman(
-                band_buf[0, :filled], band_buf[1, :filled], i_buf[:filled]
+                pair_buf[:filled].real, pair_buf[:filled].imag, i_buf[:filled]
             )
             if piv < EPS_PIVOT or not math.isfinite(log_abs):
                 # locate the first offending slice; the chunk's first slice
                 # is n - filled + 1
                 for row in range(filled):
-                    la, _, p = decode_bunch_kaufman(*band_buf[:, row], i_buf[row])
+                    la, _, p = decode_bunch_kaufman(
+                        pair_buf[row].real, pair_buf[row].imag, i_buf[row]
+                    )
                     if p < EPS_PIVOT:
                         raise SingularCrossing(n - filled + 1 + row, p)
                     if not math.isfinite(la):

@@ -87,7 +87,7 @@ def decode_bunch_kaufman(d: np.ndarray, sub: np.ndarray, ipiv: np.ndarray):
     consecutive pairs and every other one is the first row of a block.
     Exact zero pivots are reported as min_pivot == 0.0, never as -inf logs.
     """
-    d = np.asarray(d).ravel()
+    d = np.asarray(d).reshape(-1)  # a view where possible, unlike ravel
     neg = np.asarray(ipiv).ravel() < 0
     has_2x2 = neg.any()
     d1 = d[~neg] if has_2x2 else d
@@ -99,7 +99,7 @@ def decode_bunch_kaufman(d: np.ndarray, sub: np.ndarray, ipiv: np.ndarray):
     else:
         log_abs = float(np.log(ad1, out=ad1).sum()) if ad1.size else 0.0
     if has_2x2:
-        sub = np.asarray(sub).ravel()
+        sub = np.asarray(sub).reshape(-1)
         firsts = np.flatnonzero(neg)[::2]
         det2 = d[firsts] * d[firsts + 1] - sub[firsts] ** 2
         ad2 = np.abs(det2)
