@@ -41,7 +41,9 @@ from scipy.linalg.lapack import dgetrf, dlantr, dsytrf, dsytrf_lwork, dsytri, ds
 
 from .errors import NonFiniteRecursion, SingularCrossing
 from .lattice import LatticeSpec, PotentialField, stencil_bands, transverse_laplacian
-from .logdet import EPS_PIVOT, Diagnostics, LogDet, decode_bunch_kaufman
+from .logdet import (
+    EPS_PIVOT, PANEL, UPPER, Diagnostics, LogDet, decode_bunch_kaufman, mirror_upper, same_lower
+)
 
 #: Entry magnitude that triggers a Y-form rescale.
 RESCALE_THRESHOLD = 1e100
@@ -59,18 +61,6 @@ RESCALE_THRESHOLD = 1e100
 #: to 8 would make random K = 255 sweeps 1.3-1.5x faster, but only by
 #: giving up that accuracy.
 L_GROWTH_MAX = 2.3
-
-#: Columns of the identity that a guarded A-form step solves for at a time
-#: (see _solve_inverse).  It must stay a multiple of 8: OpenBLAS's dger,
-#: which dsytrs calls for every pivot, groups the right-hand sides by four
-#: columns, and a panel that starts off that grid rounds differently from
-#: one solve against the whole identity.  Panels of 32, 40 and 64 columns
-#: matched that solve bit for bit at K = 121 to 255; 67-column panels
-#: moved the last three columns of each panel by up to 4.5e-15 at K = 121.
-_PANEL = 64
-
-# The strict upper triangle of a _PANEL x _PANEL square.
-_UPPER = np.triu(np.ones((_PANEL, _PANEL), dtype=bool), 1)
 
 # Exact power-of-two scaling used by the projective scalar recursion.
 _SCALE_HI = 2.0**512
@@ -212,47 +202,22 @@ def _l_bounded(ldu: np.ndarray, ipiv: np.ndarray) -> bool:
     return bool(bounded)
 
 
-def _same_lower(a: np.ndarray, b: np.ndarray) -> bool:
-    """Whether the lower triangles of a and b, diagonal included, hold the
-    same bits.  The diagonal is compared first; until it agrees, no mask is
-    made, and then the rest is compared _PANEL columns at a time, so no
-    mask is larger than K x _PANEL."""
-    if not np.array_equal(a.diagonal(), b.diagonal()):
-        return False
-    a, b = a.view(np.int64), b.view(np.int64)
-    K = a.shape[0]
-    for c in range(0, K, _PANEL):
-        e = min(c + _PANEL, K)
-        if (a[e:, c:e] != b[e:, c:e]).any():
-            return False
-        if (a[c:e, c:e] != b[c:e, c:e])[_UPPER[: e - c, : e - c].T].any():
-            return False
-    return True
-
-
 def _solve_inverse(ldu: np.ndarray, ipiv: np.ndarray) -> int:
     """Overwrite the lower triangle of the dsytrf(lower=1) factor ldu, in
     place, with that of the inverse dsytrs computes against the identity,
     and return dsytrs' info.  Because dsytrs still needs the factor, the
-    identity is solved _PANEL columns at a time into one K x _PANEL
-    buffer: each panel's entries below the diagonal go transposed into the
-    strict upper triangle of ldu, which the factor leaves unused, and its
-    diagonal into a K-vector.  Once the last panel is solved they are
-    mirrored into the lower triangle, a strip of _PANEL columns at a time,
-    and the K-vector onto the diagonal.  The panels reproduce the whole
-    solve bit for bit, as _PANEL says.  For K <= _PANEL the one panel is
-    the whole inverse and is copied over ldu."""
+    identity is solved PANEL columns at a time into one K x PANEL buffer:
+    each panel's entries below the diagonal go transposed into the strict
+    upper triangle of ldu, which the factor leaves unused, and its
+    diagonal into a K-vector.  Once the last panel is solved,
+    logdet.mirror_upper copies them into the lower triangle and the
+    K-vector goes onto the diagonal.  The panels reproduce the whole solve
+    bit for bit, as logdet.PANEL says."""
     K = ldu.shape[0]
-    panel = np.zeros((K, min(K, _PANEL)), order="F")
-    if K <= _PANEL:
-        np.fill_diagonal(panel, 1.0)
-        X, info = dsytrs(ldu, ipiv, panel, 1, 1)
-        np.copyto(ldu, X)
-        return info
+    panel = np.empty((K, min(K, PANEL)), order="F")
     diag = np.empty(K)
-    for c in range(0, K, _PANEL):
-        e = min(c + _PANEL, K)
-        upper = _UPPER[: e - c, : e - c]
+    for c in range(0, K, PANEL):
+        e = min(c + PANEL, K)
         X = panel[:, : e - c]
         X.fill(0.0)
         np.fill_diagonal(X[c:e], 1.0)
@@ -260,13 +225,9 @@ def _solve_inverse(ldu: np.ndarray, ipiv: np.ndarray) -> int:
         if info != 0:
             return info
         ldu[c:e, e:] = X[e:].T
-        np.copyto(ldu[c:e, c:e], X[c:e].T, where=upper)
+        np.copyto(ldu[c:e, c:e], X[c:e].T, where=UPPER[: e - c, : e - c])
         diag[c:e] = X[c:e].diagonal()
-    for c in range(0, K, _PANEL):
-        e = min(c + _PANEL, K)
-        ldu[e:, c:e] = ldu[c:e, e:].T
-        square = ldu[c:e, c:e]
-        np.copyto(square, square.T, where=_UPPER[: e - c, : e - c].T)
+    mirror_upper(ldu)
     np.fill_diagonal(ldu, diag)
     return 0
 
@@ -310,15 +271,16 @@ def _aform_logdet(
     against the identity with dsytrs instead (about one step in five on
     a random K = 255 sweep, none on a constant potential), in column
     panels that leave the inverse in place as dsytri does
-    (_solve_inverse).  On a nearly singular sweep the dsytri error would
-    otherwise reach the answer: 5e-12 relative on a K = 255 input where
-    the solve gives 1e-14.  The count of negative pivot blocks is, by
+    (_solve_inverse), however small K is.  On a nearly singular sweep the
+    dsytri error would otherwise reach the answer: 5e-12 relative on a
+    K = 255 input where the solve gives 1e-14.  The count of negative
+    pivot blocks is, by
     Sylvester's law of inertia (the sweep is a block LDL^T congruence),
     the number of negative eigenvalues of the whole matrix.  Slices are
     consumed as the sweep reaches them, and pivot data is buffered for
     _decode_rows(K) slices, about 8192 entries, then decoded in one
     vectorized chunk.  So at any n_steps the sweep holds one K x K block,
-    B_n, in which it factors and inverts; a K x _PANEL panel while a step
+    B_n, in which it factors and inverts; a K x PANEL panel while a step
     solves; and about 8192 pivot entries.  Exact LAPACK singularity
     reports surface immediately, anything below EPS_PIVOT surfaces at the
     chunk boundary naming the offending slice.
@@ -327,9 +289,9 @@ def _aform_logdet(
     B -> T - B^{-1}, whose ln|det| is the bulk term per slice, and in
     floating point the sweep reaches it bitwise.  Inside a run the sweep
     keeps a copy of B_{n-2}^{-1}; once the lower triangle of B_{n-1}^{-1}
-    equals it bitwise, B_n equals B_{n-1} bitwise and so does every later
-    block of the run, so the steps from n on would factor a bitwise
-    identical matrix.  They call neither dsytrf, the growth check nor
+    equals it bitwise (same_lower), B_n equals B_{n-1} bitwise and so does
+    every later block of the run, so the steps from n on would factor a
+    bitwise identical matrix.  They call neither dsytrf, the growth check nor
     dsytri: each copies the previous row of the pivot buffers, and
     B*^{-1} is kept for the next different slice.  The decode therefore
     sees the rows a sweep factoring every step would store, and the
@@ -389,7 +351,7 @@ def _aform_logdet(
         elif not fixed:
             # slice n repeats slice n - 1, so B_n = B_{n-1} once their
             # inverses B_{n-1}^{-1} and B_{n-2}^{-1} agree
-            if ref is not None and _same_lower(inv, ref):
+            if ref is not None and same_lower(inv, ref):
                 fixed, ref = True, None
             else:
                 if ref is None:

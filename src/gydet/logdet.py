@@ -8,6 +8,11 @@ indefinite matrices that appear once potentials push eigenvalues through
 zero.  Because the factorization is congruent (B = L D L^T up to a
 symmetric permutation), the permutation parity cancels and the sign of
 det(B) is read off the 1x1 and 2x2 blocks of D alone.
+
+A symmetric matrix factored in place by dsytrf(lower=1) keeps its strict
+upper triangle, so the dense factorization (dense_logdet) and the bounded
+sweep's guarded inverse (gy._solve_inverse) restore the lower one from it
+with mirror_upper, and same_lower compares lower triangles bit for bit.
 """
 
 from __future__ import annotations
@@ -23,11 +28,21 @@ from .errors import SingularMatrix
 #: Pivot magnitude below which a singular crossing is declared.
 EPS_PIVOT = 1e-300
 
-#: dense_logdet checks and restores H in square tiles of side TILE,
-#: widened for a small H until its diagonal tiles, which it saves whole,
-#: hold up to SAVED_MIN entries (2 MB) in all.
-TILE = 128
-SAVED_MIN = 1 << 18
+#: Columns or rows that same_lower and mirror_upper handle at a time.  The
+#: A-form's guarded inverse solves the identity PANEL columns at a time
+#: (gy._solve_inverse), so it must stay a multiple of 8: OpenBLAS's dger,
+#: which dsytrs calls for every pivot, groups the right-hand sides by four
+#: columns, and a panel that starts off that grid rounds differently from
+#: one solve against the whole identity.  Panels of 32, 40 and 64 columns
+#: matched that solve bit for bit at K = 121 to 255; 67-column panels
+#: moved the last three columns of each panel by up to 4.5e-15 at K = 121.
+PANEL = 64
+
+#: The strict upper triangle of a PANEL x PANEL square.
+UPPER = np.triu(np.ones((PANEL, PANEL), dtype=bool), 1)
+
+#: Entries (2 MB) up to which dense_logdet factors H from a copy.
+COPY_MAX = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -149,6 +164,39 @@ class SymmetricFactor:
         return x
 
 
+def same_lower(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether the lower triangles of the square arrays a and b, diagonal
+    included, hold the same bits, so a zero's sign counts.  The diagonal is
+    compared first; until it agrees, no mask is made, and then the rest is
+    compared PANEL columns at a time, so no mask is larger than n x PANEL."""
+    a, b = a.view(np.int64), b.view(np.int64)
+    if not np.array_equal(a.diagonal(), b.diagonal()):
+        return False
+    n = a.shape[0]
+    for c in range(0, n, PANEL):
+        e = min(c + PANEL, n)
+        if (a[e:, c:e] != b[e:, c:e]).any():
+            return False
+        if (a[c:e, c:e] != b[c:e, c:e])[UPPER[: e - c, : e - c].T].any():
+            return False
+    return True
+
+
+def mirror_upper(A: np.ndarray) -> None:
+    """Copy the strict upper triangle of the square array A, transposed,
+    over its strict lower triangle, in place; the diagonal is left as it
+    is.  The lower triangle is written PANEL rows at a time: the part of
+    each strip left of the diagonal in one transposed copy of the strip of
+    PANEL columns above it, and its diagonal square through a mask.  Only
+    the square needs a temporary, so none is larger than PANEL x PANEL."""
+    n = A.shape[0]
+    for r in range(0, n, PANEL):
+        f = min(r + PANEL, n)
+        A[r:f, :r] = A[:r, r:f].T
+        square = A[r:f, r:f]
+        np.copyto(square, square.T, where=UPPER[: f - r, : f - r].T)
+
+
 def dense_logdet(H: np.ndarray) -> LogDet:
     """Log-determinant of a dense symmetric matrix by pivoted factorization.
 
@@ -160,13 +208,14 @@ def dense_logdet(H: np.ndarray) -> LogDet:
     A writeable C-ordered H is factored in place, so the call needs no
     second n x n matrix.  H is written during the call and restored bit
     for bit before it returns, also when SingularMatrix is raised, so it
-    must not be read from another thread meanwhile.  The restore copies
-    H's diagonal tiles back from a saved copy (at most the larger of
-    n x TILE and SAVED_MIN entries) and the rest of its upper triangle from
-    the lower one, transposed; that is exact because a check before the
-    factorization finds the two triangles equal there bit for bit.  Where
-    they differ, and for read-only, Fortran-ordered or strided inputs,
-    LAPACK works on a copy and H is never written.
+    must not be read from another thread meanwhile.  Only its diagonal is
+    saved: dsytrf leaves the strict upper triangle of A = H.T untouched,
+    and mirror_upper copies it back over the strict lower one, which is
+    exact because same_lower(A, A.T) finds H symmetric bit for bit first.
+    Where it is not, for read-only, Fortran-ordered or strided inputs, and
+    for H of at most COPY_MAX entries, LAPACK works on a copy and H is
+    never written.  Finiteness is checked PANEL columns at a time, in the
+    lower triangle alone where H is symmetric.
     Raises ValueError on a non-finite entry and SingularMatrix on an exact
     zero pivot.
     """
@@ -175,17 +224,19 @@ def dense_logdet(H: np.ndarray) -> LogDet:
         raise ValueError(f"expected a square matrix, got shape {H.shape}")
     A = H.T
     n = A.shape[0]
-    side = max(TILE, SAVED_MIN // max(n, 1))
-    tiles = [slice(i, i + side) for i in range(0, n, side)]
-    if _finite_and_mirrored(A, tiles) and A.flags.f_contiguous and A.flags.writeable:
-        saved = [A[t, t].copy(order="F") for t in tiles]
+    flags = A.flags
+    in_place = A.size > COPY_MAX and flags.f_contiguous and flags.writeable and same_lower(A, A.T)
+    # a bitwise symmetric A holds all its values in its lower triangle
+    for c in range(0, n, PANEL):
+        if not np.isfinite(A[c if in_place else 0:, c:c + PANEL]).all():
+            raise ValueError("matrix contains non-finite entries")
+    if in_place:
+        diagonal = A.diagonal().copy()
         try:
             fac = SymmetricFactor(A, overwrite=True)
         finally:
-            for k, t in enumerate(tiles):
-                A[t, t] = saved[k]
-                for u in tiles[k + 1:]:
-                    A[u, t] = A[t, u].T
+            mirror_upper(A)
+            np.fill_diagonal(A, diagonal)
     else:
         fac = SymmetricFactor(A)
     if fac.exact_singular or not math.isfinite(fac.log_abs):
@@ -196,23 +247,3 @@ def dense_logdet(H: np.ndarray) -> LogDet:
         method="dense-LU",
         diagnostics=Diagnostics(min_pivot=fac.min_pivot, n_negative=fac.n_negative),
     )
-
-
-def _finite_and_mirrored(A: np.ndarray, tiles: list[slice]) -> bool:
-    """Whether every tile of A below its diagonal tiles mirrors its partner.
-
-    A[u, t] mirrors A[t, u] when it equals its transpose.  Compares bits
-    through an int64 view, so a zero's sign counts, and stops comparing at
-    the first tile that differs.  Raises ValueError if any entry of A is
-    not finite.  Both checks run tile by tile (np.isfinite over whole
-    columns of tiles), so neither makes an n x n temporary.
-    """
-    bits = A.view(np.int64)
-    mirrored = True
-    for k, t in enumerate(tiles):
-        if not np.isfinite(A[:, t]).all():
-            raise ValueError("matrix contains non-finite entries")
-        mirrored = mirrored and all(
-            np.array_equal(bits[t, u], bits[u, t].T) for u in tiles[k + 1:]
-        )
-    return mirrored

@@ -526,12 +526,18 @@ class TestInverseKernelChoice:
         assert calls == ["dsytri", "dsytri"]
         assert_matches(ld, dense_logdet(block_tridiagonal(blocks)))
 
-    @pytest.mark.parametrize("K", [39, 121, 255])
-    def test_panel_solve_is_whole_solve(self, K):
+    # K = 64 is the last one-panel case, K = 65 the first with two; seed 64
+    # draws a K = 64 matrix whose L stays within the bound
+    @pytest.mark.parametrize(
+        "K, seed",
+        [(39, 39), (64, 65), (65, 65), (121, 121), (255, 255)],
+        ids=["39", "64", "65", "121", "255"],
+    )
+    def test_panel_solve_is_whole_solve(self, K, seed):
         # a random symmetric matrix factors with 2x2 pivots and |L| past
         # the bound; the inverse solved in panels, left in place, has the
         # bits of one solve against the whole identity below the diagonal
-        A = np.random.default_rng(K).uniform(-1.0, 1.0, (K, K))
+        A = np.random.default_rng(seed).uniform(-1.0, 1.0, (K, K))
         ldu, ipiv, _ = dsytrf(A + A.T, lower=1)
         assert (ipiv < 0).any() and not gy._l_bounded(ldu, ipiv)
         want = dsytrs(ldu, ipiv, np.eye(K), 1)[0]

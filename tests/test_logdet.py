@@ -5,7 +5,16 @@ import numpy as np
 import pytest
 
 from gydet.errors import SingularMatrix
-from gydet.logdet import SAVED_MIN, TILE, LogDet, SymmetricFactor, decode_bunch_kaufman, dense_logdet
+from gydet.logdet import (
+    COPY_MAX,
+    PANEL,
+    LogDet,
+    SymmetricFactor,
+    decode_bunch_kaufman,
+    dense_logdet,
+    mirror_upper,
+    same_lower,
+)
 
 
 def cofactor_det_3x3(A):
@@ -211,14 +220,15 @@ class TestDenseInPlace:
         H = symmetric_indefinite(1500, 0)
         kept = H.copy()
         _, peak = traced_peak(H)
-        assert peak < H.nbytes / 4
+        assert peak < H.nbytes / 16
         assert_same_bits(H, kept)
 
-    # test_same_bits_as_fortran_copy covers one tile; these span several
+    # test_same_bits_as_fortran_copy is factored from a copy; these are
+    # factored in place and span several panels
     @pytest.mark.parametrize("n", [600, 900])
     @pytest.mark.parametrize("seed", range(3))
     def test_same_bits_as_copy(self, n, seed):
-        assert max(TILE, SAVED_MIN // n) < n
+        assert COPY_MAX < n * n and PANEL < n
         H = symmetric_indefinite(n, seed)
         kept = H.copy()
         fac = upper_triangle_factor(H)
@@ -262,10 +272,19 @@ def read_only(H):
 
 
 def signed_zero_pair(H):
-    # differs from H.T only in the sign of one zero, off the diagonal tiles
+    # differs from H.T only in the sign of one zero, off the diagonal squares
     H = H.copy()
     H[3, 600] = -0.0
     H[600, 3] = 0.0
+    return H
+
+
+def signed_zero_in_square(H):
+    # differs from H.T only in the sign of one zero, inside the first
+    # PANEL x PANEL diagonal square
+    H = H.copy()
+    H[3, 5] = -0.0
+    H[5, 3] = 0.0
     return H
 
 
@@ -274,8 +293,14 @@ class TestDenseCopyPath:
 
     @pytest.mark.parametrize(
         "make",
-        [read_only, np.asfortranarray, lambda H: H[::2, ::2], signed_zero_pair],
-        ids=["read-only", "fortran", "strided", "signed-zero"],
+        [
+            read_only,
+            np.asfortranarray,
+            lambda H: H[::2, ::2],
+            signed_zero_pair,
+            signed_zero_in_square,
+        ],
+        ids=["read-only", "fortran", "strided", "signed-zero", "signed-zero-square"],
     )
     def test_copy_path(self, make):
         H = make(symmetric_indefinite(900, 7))
@@ -284,3 +309,32 @@ class TestDenseCopyPath:
         assert peak >= H.nbytes
         assert_matches_factor(ld, upper_triangle_factor(H))
         assert_same_bits(H, kept)
+
+
+HELPER_SIZES = [1, 63, 64, 65, 130, 200]
+
+
+class TestPanelHelpers:
+    """same_lower and mirror_upper, across the panel boundaries."""
+
+    @pytest.mark.parametrize("n", HELPER_SIZES)
+    def test_same_lower(self, n):
+        a = np.random.default_rng(n).uniform(-1.0, 1.0, (n, n))
+        b = a.copy()
+        b[np.triu_indices(n, 1)] = 7.0  # the strict upper triangles are not compared
+        assert same_lower(a, b) and same_lower(a, np.asfortranarray(b))
+        # a zero of either sign: on the diagonal, below it inside the first
+        # diagonal square, and (for n > PANEL) in the off-diagonal tile below
+        for i, j in {(0, 0), (n - 1, n - 1), (min(5, n - 1), min(3, n - 1)), (n - 1, 0)}:
+            a[i, j], b[i, j] = 0.0, -0.0
+            assert not same_lower(a, b) and not same_lower(b, a), (i, j)
+            b[i, j] = 0.0
+            assert same_lower(a, b), (i, j)
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("n", HELPER_SIZES)
+    def test_mirror_upper(self, n, order):
+        A = np.asarray(np.random.default_rng(n).uniform(-1.0, 1.0, (n, n)), order=order)
+        want = np.triu(A) + np.triu(A, 1).T
+        mirror_upper(A)
+        assert np.array_equal(A.view(np.int64), want.view(np.int64))
