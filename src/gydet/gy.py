@@ -37,7 +37,7 @@ import math
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
-from scipy.linalg.lapack import dgetrf, dlantr, dsytrf, dsytrf_lwork, dsytri, dsytrs
+from scipy.linalg.lapack import dgetrf, dlantr, dsytrf, dsytri, dsytrs
 
 from .errors import NonFiniteRecursion, SingularCrossing
 from .lattice import LatticeSpec, PotentialField, stencil_bands, transverse_laplacian
@@ -61,6 +61,17 @@ RESCALE_THRESHOLD = 1e100
 #: to 8 would make random K = 255 sweeps 1.3-1.5x faster, but only by
 #: giving up that accuracy.
 L_GROWTH_MAX = 2.3
+
+#: Block size of the A-form's dsytrf: its workspace is NB * K entries, where
+#: dsytrf_lwork(K) asks for 64 K.  Minima of in-process calls with one
+#: OpenBLAS thread on a random symmetric K x K matrix, at NB = 16, 24, 32
+#: and 64: 144-150, 135, 130-136 and 160-163 us at K = 127; 399-401, 394-398,
+#: 435 and 562-563 us at K = 255; 2282-2288, 2173-2182, 2331-2371 and
+#: 2933-2937 us at K = 511; level at K = 63.  Sweeps with K <= 64 gave the
+#: same bits with either workspace on every input tried; wider ones move in
+#: the last bits, the nearly singular K = 255 input of the tests from 5.5e-15
+#: to 3.7e-14 off its 80-bit value (1.8e-14 at NB = 16, 2.4e-14 at 32).
+NB = 24
 
 # Exact power-of-two scaling used by the projective scalar recursion.
 _SCALE_HI = 2.0**512
@@ -186,19 +197,33 @@ def matrix_logdet_aform(spec: LatticeSpec, pot: PotentialField) -> LogDet:
     return _aform_logdet(_slices(spec, pot), spec.K, spec.N - 1, far)
 
 
-def _l_bounded(ldu: np.ndarray, ipiv: np.ndarray) -> bool:
+def _growth_bounded(ldu: np.ndarray, ipiv: np.ndarray) -> bool:
     """Whether every entry of L in the dsytrf(lower=1) factor ldu is at
-    most L_GROWTH_MAX after all, once dlantr over the whole strict lower
-    triangle has exceeded it.  That scan also reads the subdiagonal entry
-    of each 2x2 pivot block, which belongs to D, not L: the answer is no
-    unless there are such blocks and the bound holds without them."""
-    firsts = np.flatnonzero(ipiv < 0)[::2]
-    if not firsts.size:
-        return False
-    d21 = ldu[firsts + 1, firsts]
-    ldu[firsts + 1, firsts] = 0.0
-    bounded = dlantr(b"M", ldu, b"L", b"U") <= L_GROWTH_MAX
-    ldu[firsts + 1, firsts] = d21
+    most L_GROWTH_MAX in magnitude; a NaN never is.  L is the strict lower
+    triangle less the subdiagonal entry of each 2x2 pivot block, which
+    belongs to D: those entries are zeroed for the scan and put back after
+    it, so ldu is left as it was, bit for bit.  The scan goes PANEL
+    columns at a time and stops at the first panel past the bound: dlantr
+    over the strict lower triangle of the panel's diagonal square, which
+    the wrapper copies, then the largest and smallest entries of the
+    rectangle below it, which makes no copy.  At K = 255 that takes about
+    80 us, against 135 us for one dlantr over the whole triangle, which
+    calls LAPACK's NaN test for every entry; at K <= PANEL it is that one
+    dlantr call."""
+    K = ldu.shape[0]
+    firsts = (ipiv < 0).nonzero()[0][::2]
+    rows = firsts + 1
+    d21 = ldu[rows, firsts]
+    ldu[rows, firsts] = 0.0
+    for c in range(0, K, PANEL):
+        e = c + PANEL
+        bounded = dlantr(b"M", ldu[c:e, c:e], b"L", b"U") <= L_GROWTH_MAX
+        if bounded and e < K:
+            rest = ldu[e:, c:e]
+            bounded = -L_GROWTH_MAX <= rest.min() and rest.max() <= L_GROWTH_MAX
+        if not bounded:
+            break
+    ldu[rows, firsts] = d21
     return bool(bounded)
 
 
@@ -207,12 +232,14 @@ def _solve_inverse(ldu: np.ndarray, ipiv: np.ndarray) -> int:
     place, with that of the inverse dsytrs computes against the identity,
     and return dsytrs' info.  Because dsytrs still needs the factor, the
     identity is solved PANEL columns at a time into one K x PANEL buffer:
-    each panel's entries below the diagonal go transposed into the strict
-    upper triangle of ldu, which the factor leaves unused, and its
-    diagonal into a K-vector.  Once the last panel is solved,
-    logdet.mirror_upper copies them into the lower triangle and the
-    K-vector goes onto the diagonal.  The panels reproduce the whole solve
-    bit for bit, as logdet.PANEL says."""
+    each panel but the last puts its entries below the diagonal transposed
+    into the strict upper triangle of ldu, which the factor leaves unused,
+    and its diagonal into a vector.  Once the last panel is solved the
+    factor is no longer needed, so the last panel's rows are copied
+    straight into ldu[c:, c:], and logdet.mirror_upper and one transposed
+    copy bring the earlier panels into the lower triangle, with the vector
+    on their diagonal.  At K <= PANEL that copy is the whole inverse.  The
+    panels reproduce the whole solve bit for bit, as logdet.PANEL says."""
     K = ldu.shape[0]
     panel = np.empty((K, min(K, PANEL)), order="F")
     diag = np.empty(K)
@@ -224,11 +251,17 @@ def _solve_inverse(ldu: np.ndarray, ipiv: np.ndarray) -> int:
         X, info = dsytrs(ldu, ipiv, X, 1, 1)
         if info != 0:
             return info
-        ldu[c:e, e:] = X[e:].T
-        np.copyto(ldu[c:e, c:e], X[c:e].T, where=UPPER[: e - c, : e - c])
-        diag[c:e] = X[c:e].diagonal()
-    mirror_upper(ldu)
-    np.fill_diagonal(ldu, diag)
+        if e < K:
+            ldu[c:e, e:] = X[e:].T
+            np.copyto(ldu[c:e, c:e], X[c:e].T, where=UPPER[: e - c, : e - c])
+            diag[c:e] = X[c:e].diagonal()
+    ldu[c:, c:] = X[c:]
+    del panel, X  # freed before mirror_upper makes its PANEL x PANEL temporary
+    if c:
+        done = ldu[:c, :c]
+        mirror_upper(done)
+        np.fill_diagonal(done, diag[:c])
+        ldu[c:, :c] = ldu[:c, c:].T
     return 0
 
 
@@ -257,7 +290,8 @@ def _aform_logdet(
     gives the dense subtraction's lower triangle bit for bit, because
     0 - x is exact and never -0, and fl(t - x) = fl(-x + t).
 
-    Each step factors B_n with symmetric (Bunch-Kaufman) pivoting; the
+    Each step factors B_n with symmetric (Bunch-Kaufman) pivoting, dsytrf
+    with a workspace of NB * K entries; the
     pivot-block determinants accumulate into the answer and the same
     factorization supplies B_n^{-1} for the next step, so the whole sweep
     costs O(n_steps K^3) time.  The inverse is LAPACK dsytri, computed in
@@ -273,15 +307,20 @@ def _aform_logdet(
     panels that leave the inverse in place as dsytri does
     (_solve_inverse), however small K is.  On a nearly singular sweep the
     dsytri error would otherwise reach the answer: 5e-12 relative on a
-    K = 255 input where the solve gives 1e-14.  The count of negative
-    pivot blocks is, by
+    K = 255 input where the solve gives 1e-14.  The growth check is one
+    scan of the factor PANEL columns at a time (_growth_bounded), which
+    leaves out the 2x2 pivot blocks' entries of D; at K <= PANEL a
+    single dlantr over the whole strict lower triangle goes first, and
+    the scan runs only on the steps it does not clear.  The count of
+    negative pivot blocks is, by
     Sylvester's law of inertia (the sweep is a block LDL^T congruence),
     the number of negative eigenvalues of the whole matrix.  Slices are
     consumed as the sweep reaches them, and pivot data is buffered for
     _decode_rows(K) slices, about 8192 entries, then decoded in one
     vectorized chunk.  So at any n_steps the sweep holds one K x K block,
-    B_n, in which it factors and inverts; a K x PANEL panel while a step
-    solves; and about 8192 pivot entries.  Exact LAPACK singularity
+    B_n, in which it factors and inverts; dsytrf's workspace of NB * K
+    entries; a K x PANEL panel while a step solves; and about 8192 pivot
+    entries.  Exact LAPACK singularity
     reports surface immediately, anything below EPS_PIVOT surfaces at the
     chunk boundary naming the offending slice.
 
@@ -302,7 +341,8 @@ def _aform_logdet(
     buffer, held only while a run of repeated slices has not yet
     converged.  Diagnostics.factorizations counts the dsytrf calls.
     """
-    lwork = int(dsytrf_lwork(K)[0])  # the wrapper takes an int faster than a float
+    lwork = NB * K
+    small = K <= PANEL
 
     # B_n is built in one zero-padded buffer that dsytrf factors and dsytri
     # or _solve_inverse inverts in place (it is Fortran-contiguous, so the
@@ -400,8 +440,12 @@ def _aform_logdet(
             min_pivot = min(min_pivot, piv)
             filled = 0
         if n < n_steps and not fixed:
-            # dlantr: the largest |entry| below the diagonal, or 1
-            if lantr(b"M", ldu, b"L", b"U") <= L_GROWTH_MAX or _l_bounded(ldu, ipiv):
+            # at K <= PANEL one dlantr over the whole strict lower triangle
+            # (the largest |entry| below the diagonal, or 1) clears the step
+            # unless the factor's 2x2 blocks or L exceed the bound; only then
+            # does _growth_bounded scan again without the 2x2 blocks
+            bounded = small and lantr(b"M", ldu, b"L", b"U") <= L_GROWTH_MAX
+            if bounded or _growth_bounded(ldu, ipiv):
                 inv, info = tri(ldu, ipiv, 1, 1)
             else:
                 inv, info = ldu, _solve_inverse(ldu, ipiv)

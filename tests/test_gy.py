@@ -8,6 +8,7 @@ from scipy.linalg.lapack import dsytrf, dsytrs
 from gydet import gy
 from gydet.errors import SingularCrossing, SizeCapExceeded
 from gydet.gy import (
+    L_GROWTH_MAX,
     matrix_logdet_aform,
     matrix_logdet_yform,
     scalar_logdet,
@@ -19,7 +20,7 @@ from gydet.lattice import (
     build_interior_hamiltonian,
     transverse_laplacian,
 )
-from gydet.logdet import dense_logdet
+from gydet.logdet import PANEL, dense_logdet
 from gydet.oracles import sinh_product_logdet
 
 
@@ -321,9 +322,9 @@ class TestSweepMemory:
     - a working set of K x K float64 blocks.  The A-form holds one, B_n,
       in which each step factors and inverts, and a second, the copy of
       B_{n-2}^{-1}, while a run of repeated slices has not converged;
-    - K x 64 float64 panels: dsytrf's workspace (dsytrf_lwork(K) = 64 K
-      entries) and the panel of a step that solves against the identity
-      (_solve_inverse), 8 * 64 K bytes each;
+    - dsytrf's workspace of gy.NB * K float64 entries, 8 NB K bytes;
+    - K x PANEL float64 panels, 8 * 64 K bytes each: the panel of a step
+      that solves against the identity (_solve_inverse);
     - the A-form's pivot buffers: d, sub and ipiv rows, at most 8 bytes
       an entry, for R = min(N - 1, _decode_rows(K)) slices of K entries,
       plus the temporaries of one chunk decode (two float64 copies of the
@@ -332,18 +333,19 @@ class TestSweepMemory:
     @staticmethod
     def bound(spec, blocks, panels):
         K, rows = spec.K, min(spec.N - 1, gy._decode_rows(spec.K))
-        return blocks * 8 * K * K + panels * 8 * 64 * K + 5 * 8 * rows * K
+        return (blocks * 8 * K * K + 8 * gy.NB * K + panels * 8 * PANEL * K
+                + 5 * 8 * rows * K)
 
     @pytest.mark.parametrize("route", [matrix_logdet_aform, matrix_logdet_yform])
     def test_peak_memory_bounded(self, route):
         """At N = 1025, M = 65 (K = 64, 1024 slices, R = 128) the working
-        set is at most 16 blocks and a panel (the Y-form's slice, its Y pair
-        and their temporaries, and LAPACK's outputs), 0.56 MB, and the
-        pivot term 0.33 MB.  That is 0.88 MB; a stack of all 1024 slices
-        alone is 33.6 MB."""
+        set is at most 16 blocks (the Y-form's slice, its Y pair and their
+        temporaries, and LAPACK's outputs), 0.52 MB, the workspace 0.01 MB
+        and the pivot term 0.33 MB.  That is 0.86 MB; a stack of all 1024
+        slices alone is 33.6 MB."""
         spec = LatticeSpec(d=2, N=1025, M=65)
         peak = sweep_peak(route, spec, PotentialField.constant(spec, 1.0))
-        bound = self.bound(spec, 16, 1)
+        bound = self.bound(spec, 16, 0)
         assert peak < bound, f"peak {peak / 1e6:.2f} MB over {bound / 1e6:.2f} MB"
 
     @pytest.mark.parametrize("route", [matrix_logdet_aform, matrix_logdet_yform])
@@ -359,22 +361,23 @@ class TestSweepMemory:
     def test_peak_memory_with_guarded_steps(self):
         """At N = M = 128 (K = 127, R = 64) a random sweep solves against
         the identity on about one step in five, so the A-form holds B, the
-        workspace and the panel: 0.13 MB and two panels of 0.065 MB, plus
-        0.33 MB of pivot term, 0.58 MB.  A sweep that also keeps a dense
+        workspace and the panel: 0.13 MB, 0.024 MB and 0.065 MB, plus
+        0.33 MB of pivot term, 0.54 MB.  A sweep that also keeps a dense
         slice and a K x K solve buffer peaks at 0.70 MB."""
         spec = LatticeSpec(d=2, N=128, M=128)
         peak = sweep_peak(matrix_logdet_aform, spec, PotentialField.random_uniform(spec, seed=0))
-        bound = self.bound(spec, 1, 2)
+        bound = self.bound(spec, 1, 1)
         assert peak < bound, f"peak {peak / 1e6:.2f} MB over {bound / 1e6:.2f} MB"
 
     def test_peak_memory_three_dimensional(self):
         """At d = 3, N = 300, M = 24 (K = 529, R = 15) one block is 2.24 MB,
         so the working set of two blocks (B and the copy of B_{n-2}^{-1}
-        while the constant run converges) dominates: 4.48 MB, plus 0.27 MB
-        of dsytrf workspace and 0.32 MB of pivot term."""
+        while the constant run converges) dominates: 4.48 MB, plus 0.10 MB
+        of dsytrf workspace and 0.32 MB of pivot term, 4.90 MB.  With the
+        64 K workspace of dsytrf_lwork(K) the sweep peaks at 4.92 MB."""
         spec = LatticeSpec(d=3, N=300, M=24)
         peak = sweep_peak(matrix_logdet_aform, spec, PotentialField.constant(spec, 1.0))
-        bound = self.bound(spec, 2, 1)
+        bound = self.bound(spec, 2, 0)
         assert peak < bound, f"peak {peak / 1e6:.2f} MB over {bound / 1e6:.2f} MB"
 
 
@@ -539,10 +542,94 @@ class TestInverseKernelChoice:
         # bits of one solve against the whole identity below the diagonal
         A = np.random.default_rng(seed).uniform(-1.0, 1.0, (K, K))
         ldu, ipiv, _ = dsytrf(A + A.T, lower=1)
-        assert (ipiv < 0).any() and not gy._l_bounded(ldu, ipiv)
+        assert (ipiv < 0).any() and not gy._growth_bounded(ldu, ipiv)
         want = dsytrs(ldu, ipiv, np.eye(K), 1)[0]
         assert gy._solve_inverse(ldu, ipiv) == 0
         assert (np.tril(ldu).view(np.int64) == np.tril(want).view(np.int64)).all()
+
+
+def l_max(ldu, ipiv):
+    """The largest |entry| of L in ldu: its strict lower triangle with the
+    subdiagonal entry of each 2x2 pivot block, which belongs to D, zeroed
+    (NaN if any entry of L is NaN)."""
+    L = np.tril(ldu, -1)
+    firsts = np.flatnonzero(ipiv < 0)[::2]
+    L[firsts + 1, firsts] = 0.0
+    return np.abs(L).max()
+
+
+class TestGrowthScan:
+    """_growth_bounded, the panelled scan behind the inverse kernel choice,
+    gives the verdict of one scan of L, and leaves the factor as it was."""
+
+    @staticmethod
+    def factor(K, seed):
+        """A stand-in factor: L entries within the bound, 2x2 blocks at
+        rows 0-1, 63-64 (the block entry (64, 63) lies below the first
+        PANEL x PANEL square) and every tenth row pair, their D entries far
+        past the bound, and the strict upper triangle filled with entries
+        far past it too, as the stale entries of a real factor may be."""
+        rng = np.random.default_rng(seed)
+        ldu = np.asfortranarray(rng.uniform(-L_GROWTH_MAX, L_GROWTH_MAX, (K, K)))
+        ldu[np.triu_indices(K)] = rng.uniform(-1e3, 1e3, K * (K + 1) // 2)
+        ipiv = np.arange(1, K + 1, dtype=np.intc)
+        for j in (0, 63, *range(5, K - 1, 10)):
+            if j + 1 < K:
+                ipiv[j] = ipiv[j + 1] = -(j + 2)
+                ldu[j + 1, j] = rng.choice([-1.0, 1.0]) * rng.uniform(10.0, 1e3)
+        return ldu, ipiv
+
+    @staticmethod
+    def edges(K):
+        """Entries below the diagonal in rows and columns at panel edges."""
+        lines = sorted({i for i in (0, 1, 62, 63, 64, 65, 126, 127, 128, 129, K - 2, K - 1)
+                        if 0 <= i < K})
+        return [(i, j) for i in lines for j in lines if i > j]
+
+    def check(self, ldu, ipiv):
+        before = ldu.copy(order="F")
+        want = l_max(ldu, ipiv) <= L_GROWTH_MAX  # False for NaN
+        assert gy._growth_bounded(ldu, ipiv) is bool(want)
+        assert (ldu.view(np.int64) == before.view(np.int64)).all()
+        return want
+
+    @pytest.mark.parametrize("K", [1, 2, 15, 63, 64, 65, 127, 128, 129, 255])
+    def test_verdict_is_numpy_max(self, K):
+        ldu, ipiv = self.factor(K, K)
+        assert K < 3 or (ipiv < 0).sum() >= 4
+        assert self.check(ldu, ipiv)
+        firsts = set(np.flatnonzero(ipiv < 0)[::2])
+        for i, j in self.edges(K):
+            saved = ldu[i, j]
+            in_d = i == j + 1 and j in firsts
+            for value, bounded in (
+                (L_GROWTH_MAX, True),
+                (-L_GROWTH_MAX, True),
+                (np.nextafter(L_GROWTH_MAX, np.inf), in_d),
+                (-np.nextafter(L_GROWTH_MAX, np.inf), in_d),
+                (np.nan, in_d),
+            ):
+                ldu[i, j] = value
+                assert self.check(ldu, ipiv) == bounded, (i, j, value)
+            ldu[i, j] = saved
+
+    def test_two_by_two_block_below_first_square(self):
+        # the D entry (64, 63) sits in the rectangle the scan reads without
+        # dlantr; an L entry at the same place is growth
+        ldu, ipiv = self.factor(129, 1)
+        assert list(ipiv[63:65]) == [-65, -65] and abs(ldu[64, 63]) > 10.0
+        assert self.check(ldu, ipiv)
+        ipiv[63:65] = (64, 65)
+        assert not self.check(ldu, ipiv)
+
+    def test_nan_is_never_bounded(self):
+        # a NaN at either end of a panel's rectangle, where Python's
+        # max(0.0, nan) would drop it
+        ldu, ipiv = self.factor(255, 2)
+        for i, j in ((64, 0), (254, 63), (200, 150), (254, 253)):
+            saved, ldu[i, j] = ldu[i, j], np.nan
+            assert not self.check(ldu, ipiv)
+            ldu[i, j] = saved
 
 
 def every_slice(spec, pot):
